@@ -1,10 +1,11 @@
 """Compiled ∆-script closures vs the IR interpreter on BSMA rounds.
 
 What this measures.  Both backends execute the *same* stored ∆-scripts
-over the same eight BSMA views; the compiled backend has each compute
+over the same eight BSMA views; the engine (compiled) has each compute
 step's IR tree lowered once to a specialized Python closure
-(:mod:`repro.core.compile`), so a maintenance round stops paying
-per-statement IR dispatch.  The smaller the round's diffs, the larger
+(:mod:`repro.core.compile`), so a maintenance round stops paying the
+per-statement IR dispatch the reference interpreter
+(:class:`~repro.core.engine.InterpEngine`) pays.  The smaller the round's diffs, the larger
 the share of wall time that dispatch overhead represents — which is the
 common case for incremental maintenance (hundreds of script statements,
 a handful of touched rows each).
@@ -43,6 +44,7 @@ from conftest import write_bench_json
 
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine
+from repro.core.engine import InterpEngine
 from repro.obs.hist import LogHistogram
 from repro.workloads import (
     BsmaConfig,
@@ -63,7 +65,10 @@ POINTS = (1, 2, 5)
 ROUNDS = 12
 WARMUP = 2
 
-BACKENDS = ("interp", "compiled")
+#: Backend label -> engine class: the reference interpreter and the
+#: compiled engine.
+ENGINES = {"interp": InterpEngine, "compiled": IdIvmEngine}
+BACKENDS = tuple(ENGINES)
 
 EFFECTIVE_CPUS = len(os.sched_getaffinity(0))
 
@@ -79,7 +84,7 @@ def _make_pair():
     out = {}
     for backend in BACKENDS:
         db = build_bsma_database(CONFIG)
-        engine = IdIvmEngine(db, exec_backend=backend)
+        engine = ENGINES[backend](db)
         views = {
             name: engine.define_view(name, build(db, CONFIG))
             for name, build in BSMA_QUERIES.items()
@@ -282,7 +287,7 @@ def test_compiled_speedup(benchmark):
 
     def setup():
         db = build_bsma_database(CONFIG)
-        engine = IdIvmEngine(db, exec_backend="compiled")
+        engine = IdIvmEngine(db)
         for name, build in BSMA_QUERIES.items():
             engine.define_view(name, build(db, CONFIG))
         log_user_updates(engine, db, CONFIG, 5, round_seed=0)

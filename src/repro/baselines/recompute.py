@@ -4,11 +4,9 @@ sizes of ~15k tuples, Section 7.2 footnote 9)."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import PlanNode
-from ..core.engine import MaintenanceReport
+from ..core.engine import MaintenanceReport, phase_delta
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog
 from ..errors import ScriptError
@@ -41,14 +39,12 @@ class RecomputeEngine:
         self.views[name] = view
         return view
 
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
+    def maintain(self) -> dict[str, MaintenanceReport]:
         """Re-evaluate each view over the current database (counted)."""
-        targets = [name] if name is not None else list(self.views)
         self.log.take()
         counters = self.db.counters
         reports: dict[str, MaintenanceReport] = {}
-        for view_name in targets:
-            view = self.views[view_name]
+        for view_name, view in self.views.items():
             before = counters.snapshot()
             with counters.phase("recompute"):
                 result = evaluate_plan(view.plan, self.db)
@@ -58,11 +54,6 @@ class RecomputeEngine:
             view.table._rows = fresh._rows  # swap in the fresh content
             view.table._indexes.clear()
             after = counters.snapshot()
-            report = MaintenanceReport(view_name)
-            for phase, counts in after.items():
-                prior = before.get(phase)
-                report.phase_counts[phase] = (
-                    counts - prior if prior is not None else counts
-                )
+            report = MaintenanceReport(view_name, phase_delta(before, after))
             reports[view_name] = report
         return reports

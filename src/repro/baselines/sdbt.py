@@ -32,7 +32,7 @@ from ..algebra.delta_eval import Bindings, fetch
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import GroupBy, Join, PlanNode, Project, Scan, Select
 from ..core.diffs import DELETE, INSERT, UPDATE
-from ..core.engine import MaintenanceReport, _reconstruct_pre
+from ..core.engine import MaintenanceReport, _reconstruct_pre, phase_delta
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog, fold_log
 from ..core.rules.aggregate import (
@@ -264,26 +264,19 @@ class SdbtEngine:
         return view
 
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
+    def maintain(self) -> dict[str, MaintenanceReport]:
         """Sequential per-table delta evaluation against the maps."""
-        targets = [name] if name is not None else list(self.views)
         entries = self.log.take()
         db_post = self.db
         db_pre = _reconstruct_pre(self.db, entries)
         net = fold_log(entries, db_post)
         counters = self.db.counters
         reports: dict[str, MaintenanceReport] = {}
-        for view_name in targets:
-            view = self.views[view_name]
+        for view_name, view in self.views.items():
             before = counters.snapshot()
             self._maintain_view(view, net, db_pre, db_post)
             after = counters.snapshot()
-            report = MaintenanceReport(view_name)
-            for phase, counts in after.items():
-                prior = before.get(phase)
-                report.phase_counts[phase] = (
-                    counts - prior if prior is not None else counts
-                )
+            report = MaintenanceReport(view_name, phase_delta(before, after))
             reports[view_name] = report
         return reports
 

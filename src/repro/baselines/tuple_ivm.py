@@ -48,7 +48,7 @@ from ..algebra.plan import (
     UnionAll,
 )
 from ..core.diffs import DELETE, INSERT
-from ..core.engine import MaintenanceReport, _reconstruct_pre
+from ..core.engine import MaintenanceReport, _reconstruct_pre, phase_delta
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog, fold_log
 from ..core.rules.aggregate import OpCacheSpec
@@ -162,9 +162,8 @@ class TupleIvmEngine:
         return view
 
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
+    def maintain(self) -> dict[str, MaintenanceReport]:
         """Propagate the logged changes as full-tuple diffs and apply."""
-        targets = [name] if name is not None else list(self.views)
         entries = self.log.take()
         db_post = self.db
         counters = self.db.counters
@@ -174,14 +173,13 @@ class TupleIvmEngine:
             counters=counters,
             engine=type(self).__name__,
             n_log_entries=len(entries),
-            views=",".join(targets),
+            views=",".join(self.views),
         ):
             with obs.span("reconstruct_pre", kind="engine", counters=counters):
                 db_pre = _reconstruct_pre(self.db, entries)
             net = fold_log(entries, db_post)
             reports: dict[str, MaintenanceReport] = {}
-            for view_name in targets:
-                view = self.views[view_name]
+            for view_name, view in self.views.items():
                 with obs.span(
                     f"view:{view_name}", kind="view", counters=counters,
                     view=view_name,
@@ -200,12 +198,7 @@ class TupleIvmEngine:
                         ):
                             _apply_delta(view.table, view.plan, delta)
                     after = counters.snapshot()
-                    report = MaintenanceReport(view_name)
-                    for phase, counts in after.items():
-                        prior = before.get(phase)
-                        report.phase_counts[phase] = (
-                            counts - prior if prior is not None else counts
-                        )
+                    report = MaintenanceReport(view_name, phase_delta(before, after))
                     report.diff_sizes = {
                         "D+": len(delta.inserts),
                         "D-": len(delta.deletes),

@@ -19,9 +19,12 @@ probe loops replicate :func:`repro.algebra.delta_eval._fetch_from_table`
 and fall back to :meth:`IrContext.resolve_subview` — the interpreter's
 own resolution — whenever the probed subview is neither a valid cache
 nor a bare scan, so deep recomputation stays count-identical by
-construction.  ``tests/test_compiled.py`` pins per-phase equality on
-the devices and BSMA workloads; the crosscheck fuzzer runs the compiled
-engine differentially against the recompute oracle.
+construction.  Compiled execution is the engine's only production path
+(every view compiles at define time, every shard worker at boot); the
+interpreter survives as the fallback above and as the reference
+(:class:`~repro.core.engine.InterpEngine`) that ``tests/test_compiled.py``
+holds compiled rounds to, per phase, on the devices and BSMA workloads.
+The crosscheck fuzzer runs both against the recompute oracle.
 
 What compiled execution deliberately does *not* reproduce: the per-IR-op
 and per-fetch trace spans (the whole point is eliding that per-node
@@ -584,8 +587,8 @@ def _driving_sources(node: IrNode) -> Optional[set[str]]:
 
     A tree is diff-driven when every counted access is reached through
     rows originating in a :class:`DiffSource` — probe joins/semis read
-    their subview side only for a non-empty left (both backends return
-    early on an empty probe side), so only the left child drives.  For a
+    their subview side only for a non-empty left (compiled and
+    interpreted execution both return early on an empty probe side), so only the left child drives.  For a
     diff-driven tree whose driving diffs are all empty this round, the
     result is empty and no counted access happens; the interpreter walks
     the IR to discover that, a compiled step can skip the walk outright.
@@ -646,8 +649,9 @@ def compile_script(generated) -> DeltaScript:
     object (APPLY, cache marks, the blocking aggregate steps — they are
     already direct table code with no per-row IR dispatch) and replacing
     each plain :class:`ComputeDiffStep` with its compiled form.  The
-    original script is left untouched, so one view can serve both
-    backends.
+    original script is left untouched: it is what the analysis passes
+    read, what shard workers are shipped, and what the reference
+    interpreter runs.
     """
     steps = []
     for step in generated.script.steps:

@@ -10,7 +10,8 @@ Ties the pieces together across the three times of the paper:
   table modifications (trigger-style) while applying them to the live
   database;
 * **view maintenance time** — :meth:`IdIvmEngine.maintain` converts the
-  log into effective i-diff instances, executes the stored ∆-script and
+  log into effective i-diff instances, executes each view's stored
+  ∆-script (compiled at definition time, :mod:`repro.core.compile`) and
   reports per-phase access counts.
 """
 
@@ -22,23 +23,19 @@ from typing import Optional
 
 from ..algebra.evaluate import evaluate_plan, materialize
 from ..algebra.plan import PlanNode
-from ..errors import ScriptError, UnknownTableError
+from ..errors import ScriptError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.drift import DriftMonitor
 from ..obs.freshness import FreshnessTracker
 from ..storage import AccessCounts, Database, Table
+from .compile import compile_script
 from .generator import GeneratedPlan, ScriptGenerator
 from .idinfer import node_by_id
 from .ir_exec import IrContext
 from .modlog import ModificationLog, populate_instances
 from .schema_gen import generate_base_schemas
 from .script import DeltaScript, execute_script
-
-#: Supported ∆-script execution backends: the per-node IR interpreter
-#: (the paper-faithful reference) and the closure compiler
-#: (:mod:`repro.core.compile` — same counted accesses, less dispatch).
-EXEC_BACKENDS = ("interp", "compiled")
 
 
 @dataclass
@@ -66,6 +63,17 @@ class MaintenanceReport:
         counts = self.phase_counts.get(phase)
         return counts.total if counts is not None else 0
 
+    def span_attrs(self) -> dict:
+        """Attributes stamped on the round's ``view:<name>`` trace span."""
+        return {
+            "total_cost": self.total_cost,
+            "phase_counts": {
+                phase: counts.as_dict()
+                for phase, counts in self.phase_counts.items()
+                if phase != "__total__"
+            },
+        }
+
 
 class MaterializedView:
     """A defined view: its generated plan plus the materializations."""
@@ -76,21 +84,21 @@ class MaterializedView:
         table: Table,
         caches: dict[int, Table],
         operator_caches: dict[int, Table],
+        script: DeltaScript,
         cost_model=None,
-        compiled_script: Optional[DeltaScript] = None,
     ):
         self.generated = generated
         self.table = table
         self.caches = caches
         self.operator_caches = operator_caches
+        #: the ∆-script maintenance rounds execute: the closure-compiled
+        #: twin of ``generated.script`` (:mod:`repro.core.compile`), built
+        #: at define time.  It shares the caches and is invalidated with
+        #: them (a redefine rebuilds the MaterializedView wholesale).
+        self.script = script
         #: symbolic per-phase cost model (repro.analysis.cost), inferred
         #: at define time; None when inference did not apply.
         self.cost_model = cost_model
-        #: closure-compiled twin of ``generated.script``, built at define
-        #: time when the engine runs ``exec_backend="compiled"``; shares
-        #: the same caches and is invalidated with them (a redefine
-        #: rebuilds the MaterializedView wholesale).
-        self.compiled_script = compiled_script
 
     @property
     def name(self) -> str:
@@ -103,12 +111,12 @@ class MaterializedView:
     def describe_script(self) -> str:
         return self.generated.script.describe()
 
-    def script_for(self, backend: str) -> DeltaScript:
-        """The ∆-script to execute under *backend* (compiled when asked
-        for and available, the stored interpretable script otherwise)."""
-        if backend == "compiled" and self.compiled_script is not None:
-            return self.compiled_script
-        return self.generated.script
+    def predict(self, diff_sizes: dict[str, int]) -> Optional[dict]:
+        """The cost model's per-phase prediction for a round with these
+        i-diff sizes (None without a model)."""
+        if self.cost_model is None:
+            return None
+        return self.cost_model.predict_from_diff_sizes(diff_sizes)
 
 
 class IdIvmEngine:
@@ -121,20 +129,11 @@ class IdIvmEngine:
         cache_policy: str = "equi",
         view_reuse: bool = False,
         strict: bool = False,
-        exec_backend: str = "interp",
         cost_select: bool = True,
     ):
-        if exec_backend not in EXEC_BACKENDS:
-            raise ValueError(
-                f"unknown exec_backend {exec_backend!r}; expected one of "
-                f"{EXEC_BACKENDS}"
-            )
         self.db = db
         self.optimize = optimize
         self.cache_policy = cache_policy
-        #: how stored ∆-scripts execute: "interp" walks the IR per round,
-        #: "compiled" runs the specialized closures (identical counts).
-        self.exec_backend = exec_backend
         #: let the generator compare candidate scripts under the symbolic
         #: cost model and keep the cheapest (fixes COST501/COST502).
         #: Disable to study the un-selected pipeline (ablations, drift
@@ -187,11 +186,6 @@ class IdIvmEngine:
                 child_rows, self.db.counters
             )
         cost_model = _infer_cost_model(generated, self.db)
-        compiled_script = None
-        if self.exec_backend == "compiled":
-            from .compile import compile_script
-
-            compiled_script = compile_script(generated)
         # Definition-time evaluation reads (including the cost model's
         # statistics probes) are not maintenance cost.
         self.db.counters.reset()
@@ -200,13 +194,17 @@ class IdIvmEngine:
             view_table,
             caches,
             operator_caches,
+            self._executable(generated),
             cost_model=cost_model,
-            compiled_script=compiled_script,
         )
         self.views[name] = view
         # A just-materialized view reflects the current database state.
         self.freshness.note_view(name)
         return view
+
+    def _executable(self, generated: GeneratedPlan) -> DeltaScript:
+        """The form of the ∆-script that maintenance rounds execute."""
+        return compile_script(generated)
 
     # ------------------------------------------------------------------
     # data modification time: use engine.log.insert/update/delete
@@ -215,16 +213,15 @@ class IdIvmEngine:
     # ------------------------------------------------------------------
     # view maintenance time
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Bring the named view (default: all) up to date.
+    def maintain(self) -> dict[str, MaintenanceReport]:
+        """Bring every view up to date in one round.
 
         The live database already holds the post-state (deferred IVM);
         the pre-state is reconstructed from the log for the rules that
-        need ``Input_pre``.
+        need ``Input_pre``.  The round drains the log, so it maintains
+        every view: a view skipped here would miss those modifications.
         """
-        targets = [name] if name is not None else list(self.views)
         entries = self.log.take()
-        db_post = self.db
         counters = self.db.counters
         round_started = time.perf_counter()
         metrics.counter("engine.maintain_rounds").inc()
@@ -235,15 +232,13 @@ class IdIvmEngine:
             counters=counters,
             engine=type(self).__name__,
             n_log_entries=len(entries),
-            views=",".join(targets),
+            views=",".join(self.views),
         ):
+            self._begin_round(entries)
             with obs.span("reconstruct_pre", kind="engine", counters=counters):
                 db_pre = _reconstruct_pre(self.db, entries)
             reports: dict[str, MaintenanceReport] = {}
-            for view_name in targets:
-                view = self.views.get(view_name)
-                if view is None:
-                    raise UnknownTableError(f"no view named {view_name!r}")
+            for view_name, view in self.views.items():
                 view_started = time.perf_counter()
                 with obs.span(
                     f"view:{view_name}", kind="view", counters=counters,
@@ -252,43 +247,37 @@ class IdIvmEngine:
                     instances = populate_instances(
                         view.generated.base_schemas, entries, db_pre
                     )
-                    ctx = IrContext(
-                        db_pre, db_post, diffs=instances, caches=view.caches
-                    )
-                    ctx.operator_caches = view.operator_caches
-                    modified = {entry.table for entry in entries}
-                    ctx.unchanged_tables = set(self.db.table_names()) - modified
-                    before = counters.snapshot()
-                    execute_script(view.script_for(self.exec_backend), ctx, counters)
-                    after = counters.snapshot()
-                    report = MaintenanceReport(view_name)
-                    for phase, counts in after.items():
-                        prior = before.get(phase)
-                        report.phase_counts[phase] = (
-                            counts - prior if prior is not None else counts
-                        )
-                    report.diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
-                    if view.cost_model is not None:
-                        report.predicted_counts = (
-                            view.cost_model.predict_from_diff_sizes(
-                                report.diff_sizes
-                            )
-                        )
+                    report = self._run_view(view, instances, db_pre, entries)
                     reports[view_name] = report
-                    vsp.set(
-                        total_cost=report.total_cost,
-                        phase_counts={
-                            phase: counts.as_dict()
-                            for phase, counts in report.phase_counts.items()
-                            if phase != "__total__"
-                        },
-                    )
+                    vsp.set(**report.span_attrs())
                 metrics.histogram("engine.round_cost").observe(report.total_cost)
                 metrics.loghist(
                     f"view.round_seconds.{view_name}", unit="seconds"
                 ).observe(time.perf_counter() - view_started)
         self._finish_round(reports, entries, round_started)
         return reports
+
+    def _begin_round(self, entries) -> None:
+        """Round-start hook, called inside the ``maintain`` span once the
+        log is drained (no-op)."""
+
+    def _run_view(
+        self, view: MaterializedView, instances, db_pre: Database, entries
+    ) -> MaintenanceReport:
+        """Execute one view's ∆-script over this round's i-diff instances."""
+        counters = self.db.counters
+        ctx = round_context(
+            view, instances, db_pre, self.db, {entry.table for entry in entries}
+        )
+        before = counters.snapshot()
+        execute_script(view.script, ctx, counters)
+        report = MaintenanceReport(
+            view.name,
+            phase_delta(before, counters.snapshot()),
+            {k: len(v) for k, v in ctx.diffs.items()},
+        )
+        report.predicted_counts = view.predict(report.diff_sizes)
+        return report
 
     # ------------------------------------------------------------------
     def _finish_round(
@@ -317,6 +306,47 @@ class IdIvmEngine:
             ratio = self.drift.worst_ratio(view_name)
             if ratio is not None:
                 metrics.gauge(f"drift.worst_ratio.{view_name}").set(ratio)
+
+
+class InterpEngine(IdIvmEngine):
+    """:class:`IdIvmEngine` that runs the stored ∆-script through the IR
+    interpreter (:mod:`repro.core.ir_exec`) instead of compiling it.
+
+    The interpreter is the compiled executor's reference: the compiled
+    equivalence tests, ``benchmarks/bench_compiled.py`` and the
+    crosscheck ``interp`` strategy hold compiled rounds to it, row for
+    row and access for access.  It also emits the per-operator
+    ``ir_op``/``plan_op`` trace spans that compiled steps elide.
+    """
+
+    def _executable(self, generated: GeneratedPlan) -> DeltaScript:
+        return generated.script
+
+
+def round_context(
+    view, instances, db_pre: Database, db_post: Database, modified
+) -> IrContext:
+    """The :class:`IrContext` one ∆-script execution runs in.
+
+    *view* supplies the caches and operator caches (a
+    :class:`MaterializedView` or a shard worker's replica); *modified*
+    names the base tables this round's log touched.
+    """
+    ctx = IrContext(db_pre, db_post, diffs=instances, caches=view.caches)
+    ctx.operator_caches = view.operator_caches
+    ctx.unchanged_tables = set(db_post.table_names()) - set(modified)
+    return ctx
+
+
+def phase_delta(
+    before: dict[str, AccessCounts], after: dict[str, AccessCounts]
+) -> dict[str, AccessCounts]:
+    """Per-phase counts accrued between two ``CounterSet.snapshot()``s."""
+    delta: dict[str, AccessCounts] = {}
+    for phase, counts in after.items():
+        prior = before.get(phase)
+        delta[phase] = counts - prior if prior is not None else counts
+    return delta
 
 
 def _infer_cost_model(generated: GeneratedPlan, db: Database):

@@ -21,23 +21,24 @@ That disjointness claim is *checked*, twice, rather than trusted: the
 static interference pass (``repro.analysis.interference``, rules
 RACE6xx) re-proves the per-round write-footprint disjointness at lint /
 define time, and the **dynamic race detector** — ``race_check=True`` on
-this engine — verifies it at run time by collecting every worker's
+this engine — verifies it at run time by collecting every shard's
 captured write-set per parallel round and asserting pairwise
 key-disjointness before the round's effects are merged.  Under
 ``race_check="strict"`` an overlap raises
 :class:`~repro.errors.ShardRaceError` (naming the table, key and
 shards); under plain ``True`` it records a ``shard.race_overlaps``
-metric and the overlap list on the round report.  Both worker backends
-honor it, at different points of the same contract: the thread backend
-routes each shared table's capture stream to the writing worker via a
-context variable, the process backend checks the per-worker write-sets
-it already receives before replaying them onto the coordinator.
+metric and the overlap list on the round report.
 
-Two worker backends share that contract:
+The round itself is :meth:`IdIvmEngine.maintain`; this engine only
+overrides its per-view hook (route, then execute) and its round-start
+hook (sync live worker replicas).  A parallel round has two executors,
+which feed one merge (:meth:`ShardedEngine._merge_shards`):
 
-* ``backend="thread"`` (default) — workers on a thread pool over the
-  shared tables.  Access counts scale; wall-clock time does not (the
-  GIL serializes the interpreters).
+* ``backend="inline"`` (default) — the shard slices run one after
+  another on the coordinator, each under its own routed
+  :class:`CounterSet` and ``shard:{i}`` span.  Per-shard counts, the
+  critical path and the race check are exactly those of a parallel
+  run; wall-clock time is the sum of the slices.
 * ``backend="process"`` — long-lived worker processes, each owning a
   replica of the database and view caches (:mod:`repro.shard.workers`).
   Per-round inputs travel in the compact columnar wire format of
@@ -46,23 +47,15 @@ Two worker backends share that contract:
   still reconcile exactly while the ∆-scripts execute on separate
   cores.  Call :meth:`ShardedEngine.close` (or use the engine as a
   context manager) to shut the workers down.
-
-Thread-safety notes: counted table writes and index builds take the
-table's lock; span-id allocation is locked; per-shard counters are
-thread-private; metric counters and histograms accumulate into
-per-thread cells that fold losslessly on read (no lost increments —
-see :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import SchemaError, ShardRaceError, UnknownTableError
+from ..errors import SchemaError, ShardRaceError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.hist import LogHistogram
@@ -77,42 +70,10 @@ from ..shard.router import (
 from ..shard.workers import ProcessShardPool, build_blueprint, tagged_tables
 from ..storage import CounterSet, Database
 from . import wire
-from .engine import IdIvmEngine, MaintenanceReport, MaterializedView, _reconstruct_pre
-from .ir_exec import IrContext
-from .modlog import populate_instances
+from .engine import IdIvmEngine, MaintenanceReport, MaterializedView, round_context
 from .script import execute_script
 
-BACKENDS = ("thread", "process")
-
-#: Shard index of the currently-executing thread-backend worker; the
-#: routed capture sinks read it to attribute a shared table's write
-#: stream to the worker that produced it.
-_CURRENT_SHARD: contextvars.ContextVar[Optional[int]] = contextvars.ContextVar(
-    "repro_current_shard", default=None
-)
-
-
-class _RoutedSink:
-    """Capture sink for shared tables under the thread backend.
-
-    ``Table.begin_capture`` appends every counted write to one sink; with
-    N workers on the *same* table object that stream interleaves.  This
-    sink de-interleaves it at the source: each append lands in the
-    per-shard list of the worker doing the write (read from
-    :data:`_CURRENT_SHARD`), so each list has a single writer thread and
-    needs no locking.  Coordinator writes outside any worker are dropped
-    — between arming and disarming the coordinator performs none.
-    """
-
-    __slots__ = ("per_shard",)
-
-    def __init__(self, n_shards: int):
-        self.per_shard: list[list[tuple]] = [[] for _ in range(n_shards)]
-
-    def append(self, op: tuple) -> None:
-        shard = _CURRENT_SHARD.get()
-        if shard is not None:
-            self.per_shard[shard].append(op)
+BACKENDS = ("inline", "process")
 
 
 def _writeset_overlaps(
@@ -142,26 +103,43 @@ def _writeset_overlaps(
 
 
 @dataclass
+class ShardRun:
+    """One shard's slice of a parallel round, as an executor reports it.
+
+    ``writes`` maps capture tag -> replayable ops; the inline executor
+    fills it only under ``race_check``, the process executor always (the
+    coordinator replays it).
+    """
+
+    counters: CounterSet
+    diff_sizes: dict[str, int]
+    seconds: float
+    writes: dict[str, list[tuple]]
+
+
+@dataclass
 class ShardedMaintenanceReport(MaintenanceReport):
     """A round report plus how it was routed.
 
     ``phase_counts`` holds the *merged* per-phase counts (shard sums in
     shard order for parallel rounds); ``shard_reports`` keeps each
-    worker's own report for critical-path analysis.
+    shard's own report for critical-path analysis.
     """
 
     parallel: bool = False
     anchor: Optional[str] = None
     broadcast_reason: Optional[str] = None
-    backend: str = "thread"
+    backend: str = "inline"
+    #: one-line rendering of the route plan (``describe_plan``)
+    route: str = ""
     shard_reports: list[MaintenanceReport] = field(default_factory=list)
     #: distribution of per-shard total cost for parallel rounds (one
-    #: observation per worker); its sum reconciles *exactly* with
+    #: observation per shard); its sum reconciles *exactly* with
     #: :attr:`total_cost` — shard counters are complete, no tolerance.
     shard_cost_hist: Optional[LogHistogram] = None
-    #: distribution of per-worker wall clocks for parallel rounds (one
-    #: observation per worker, seconds).  Durations are measured inside
-    #: each worker (``perf_counter`` deltas), so they are comparable
+    #: distribution of per-shard wall clocks for parallel rounds (one
+    #: observation per shard, seconds).  Durations are measured where the
+    #: slice runs (``perf_counter`` deltas), so they are comparable
     #: across processes — raw monotonic readings never cross the wire.
     shard_wall_hist: Optional[LogHistogram] = None
     #: (table tag, key, shard indices) triples the dynamic race detector
@@ -182,6 +160,16 @@ class ShardedMaintenanceReport(MaintenanceReport):
             return self.total_cost
         return max(r.total_cost for r in self.shard_reports)
 
+    def span_attrs(self) -> dict:
+        attrs = super().span_attrs()
+        attrs["route"] = self.route
+        if self.parallel and self.backend == "process":
+            # The counted work ran in worker processes, so no phase spans
+            # exist in this trace to reconcile against; stamp the merged
+            # counts under a different key so the validator stays honest.
+            attrs["phase_counts_remote"] = attrs.pop("phase_counts")
+        return attrs
+
 
 class ShardedEngine(IdIvmEngine):
     """ID-based IVM with hash-partitioned parallel ∆-script execution."""
@@ -190,8 +178,7 @@ class ShardedEngine(IdIvmEngine):
         self,
         db: Database,
         shards: int = 2,
-        max_workers: Optional[int] = None,
-        backend: str = "thread",
+        backend: str = "inline",
         race_check: "bool | str" = False,
         **kwargs,
     ):
@@ -206,7 +193,6 @@ class ShardedEngine(IdIvmEngine):
                 f"race_check must be False, True or 'strict', got {race_check!r}"
             )
         self.shards = shards
-        self.max_workers = max_workers
         self.backend = backend
         #: dynamic race detector: False (off), True (record overlaps as
         #: the ``shard.race_overlaps`` metric + on the round report) or
@@ -226,7 +212,7 @@ class ShardedEngine(IdIvmEngine):
     # worker-process lifecycle (backend="process")
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker processes (no-op for the thread backend
+        """Shut down the worker processes (no-op for the inline backend
         or before the first parallel round).  Idempotent."""
         if self._pool is not None:
             self._pool.close()
@@ -244,6 +230,11 @@ class ShardedEngine(IdIvmEngine):
         self.close()
         return super().define_view(name, plan)
 
+    def _live_pool(self) -> Optional[ProcessShardPool]:
+        if self._pool is None or self._pool.closed:
+            return None
+        return self._pool
+
     def _ensure_pool(self, entries) -> ProcessShardPool:
         """Spawn + bootstrap the workers on the first parallel round.
 
@@ -252,410 +243,223 @@ class ShardedEngine(IdIvmEngine):
         at DML time) and cache tables as of this round's start — so the
         bootstrap round message passes ``sync=False``.
         """
-        if self._pool is None or self._pool.closed:
+        pool = self._live_pool()
+        if pool is None:
             pool = ProcessShardPool(self.shards)
             try:
-                pool.boot(
-                    build_blueprint(
-                        self.db, self.views, exec_backend=self.exec_backend
-                    )
-                )
+                pool.boot(build_blueprint(self.db, self.views))
                 pool.begin_round(wire.encode_log_batch(entries), sync=False)
             except BaseException:
                 pool.close()
                 raise
             self._pool = pool
-        return self._pool
+        return pool
 
     # ------------------------------------------------------------------
-    def maintain(self, name: Optional[str] = None) -> dict[str, MaintenanceReport]:
-        """Bring the named view (default: all) up to date, routing each
-        round to parallel shard workers when provably safe."""
-        targets = [name] if name is not None else list(self.views)
-        entries = self.log.take()
-        counters = self.db.counters
-        round_started = time.perf_counter()
-        metrics.counter("engine.maintain_rounds").inc()
-        metrics.histogram("engine.log_entries").observe(len(entries))
-        if self._pool is not None and not self._pool.closed:
+    # the two round hooks
+    # ------------------------------------------------------------------
+    def _begin_round(self, entries) -> None:
+        span = obs.current_span()
+        if span is not None:
+            span.set(shards=self.shards)
+        pool = self._live_pool()
+        if pool is not None:
             # Workers already ran earlier rounds: bring their base-table
             # replicas to this round's post-state before anything else.
-            self._pool.begin_round(wire.encode_log_batch(entries), sync=True)
-        with obs.span(
-            "maintain",
-            kind="engine",
-            counters=counters,
-            engine=type(self).__name__,
-            n_log_entries=len(entries),
-            views=",".join(targets),
-            shards=self.shards,
-        ):
-            with obs.span("reconstruct_pre", kind="engine", counters=counters):
-                db_pre = _reconstruct_pre(self.db, entries)
-            reports: dict[str, MaintenanceReport] = {}
-            for view_name in targets:
-                view = self.views.get(view_name)
-                if view is None:
-                    raise UnknownTableError(f"no view named {view_name!r}")
-                view_started = time.perf_counter()
-                with obs.span(
-                    f"view:{view_name}", kind="view", counters=counters,
-                    view=view_name,
-                ) as vsp:
-                    instances = populate_instances(
-                        view.generated.base_schemas, entries, db_pre
-                    )
-                    plan = plan_route(
-                        view.generated.script, instances, self.db, self.shards
-                    )
-                    override = getattr(view.generated, "route_override", None)
-                    if (
-                        not plan.parallel
-                        and override is not None
-                        and self.shards > 1
-                        and any(diff.rows for diff in instances.values())
-                    ):
-                        # Ablation / race-fixture knob: run the round
-                        # parallel on the forced anchor WITHOUT the
-                        # router's proof.  The race detector exists to
-                        # catch exactly what this can cause.
-                        plan = force_route(
-                            view.generated.script, instances, self.db, override
-                        )
-                    if plan.parallel and self.backend == "process":
-                        metrics.counter("shard.rounds_parallel").inc()
-                        report = self._maintain_parallel_process(
-                            view, view_name, instances, entries, plan
-                        )
-                    elif plan.parallel:
-                        metrics.counter("shard.rounds_parallel").inc()
-                        report = self._maintain_parallel(
-                            view, view_name, instances, db_pre, entries, plan
-                        )
-                    else:
-                        metrics.counter("shard.rounds_broadcast").inc()
-                        report = self._maintain_broadcast_synced(
-                            view, view_name, instances, db_pre, entries, plan
-                        )
-                    reports[view_name] = report
-                    stamped_phases = {
-                        phase: counts.as_dict()
-                        for phase, counts in report.phase_counts.items()
-                        if phase != "__total__"
-                    }
-                    if report.parallel and report.backend == "process":
-                        # The counted work ran in worker processes, so no
-                        # phase spans exist in this trace to reconcile
-                        # against; stamp the merged counts under a
-                        # different key so the validator stays honest.
-                        vsp.set(
-                            total_cost=report.total_cost,
-                            route=describe_plan(plan),
-                            phase_counts_remote=stamped_phases,
-                        )
-                    else:
-                        vsp.set(
-                            total_cost=report.total_cost,
-                            route=describe_plan(plan),
-                            phase_counts=stamped_phases,
-                        )
-                metrics.histogram("engine.round_cost").observe(report.total_cost)
-                metrics.loghist(
-                    f"view.round_seconds.{view_name}", unit="seconds"
-                ).observe(time.perf_counter() - view_started)
-        self._finish_round(reports, entries, round_started)
-        return reports
+            pool.begin_round(wire.encode_log_batch(entries), sync=True)
 
-    # ------------------------------------------------------------------
-    def _fresh_context(
+    def _run_view(
         self, view: MaterializedView, instances, db_pre: Database, entries
-    ) -> IrContext:
-        ctx = IrContext(
-            db_pre, self.db, diffs=instances, caches=view.caches
-        )
-        ctx.operator_caches = view.operator_caches
-        modified = {entry.table for entry in entries}
-        ctx.unchanged_tables = set(self.db.table_names()) - modified
-        return ctx
-
-    def _maintain_broadcast(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        db_pre: Database,
-        entries,
-        plan: RoutePlan,
     ) -> ShardedMaintenanceReport:
-        """One global execution — exactly the base engine's round."""
-        counters = self.db.counters
-        ctx = self._fresh_context(view, instances, db_pre, entries)
-        before = counters.snapshot()
-        execute_script(view.script_for(self.exec_backend), ctx, counters)
-        after = counters.snapshot()
-        report = ShardedMaintenanceReport(
-            view_name, parallel=False, broadcast_reason=plan.reason,
-            backend=self.backend,
-        )
-        for phase, counts in after.items():
-            prior = before.get(phase)
-            report.phase_counts[phase] = (
-                counts - prior if prior is not None else counts
-            )
-        report.diff_sizes = {k: len(v) for k, v in ctx.diffs.items()}
-        if view.cost_model is not None:
-            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
-            )
+        """Route the round; run it on the shards when provably safe, as
+        one global execution (*broadcast*) otherwise."""
+        plan = plan_route(view.generated.script, instances, self.db, self.shards)
+        override = getattr(view.generated, "route_override", None)
+        if (
+            not plan.parallel
+            and override is not None
+            and self.shards > 1
+            and any(diff.rows for diff in instances.values())
+        ):
+            # Ablation / race-fixture knob: run the round parallel on the
+            # forced anchor WITHOUT the router's proof.  The race detector
+            # exists to catch exactly what this can cause.
+            plan = force_route(view.generated.script, instances, self.db, override)
+        if plan.parallel:
+            metrics.counter("shard.rounds_parallel").inc()
+            shard_instances = split_instances(plan, instances, self.shards)
+            if self.backend == "process":
+                report = self._run_process(view, shard_instances, entries, plan)
+            else:
+                report = self._run_inline(
+                    view, shard_instances, db_pre, entries, plan
+                )
+        else:
+            metrics.counter("shard.rounds_broadcast").inc()
+            report = self._run_broadcast(view, instances, db_pre, entries, plan)
+        report.route = describe_plan(plan)
         return report
 
-    def _maintain_broadcast_synced(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        db_pre: Database,
-        entries,
+    # ------------------------------------------------------------------
+    # executors
+    # ------------------------------------------------------------------
+    def _run_broadcast(
+        self, view: MaterializedView, instances, db_pre: Database, entries,
         plan: RoutePlan,
     ) -> ShardedMaintenanceReport:
-        """Broadcast, shipping the write-set to live worker replicas.
-
-        Without a process pool this is plain :meth:`_maintain_broadcast`.
-        With one, the coordinator's writes are captured and replayed on
-        every worker so their view/cache replicas stay current for the
-        next parallel round.
-        """
-        pool = self._pool
-        if pool is None or pool.closed:
-            return self._maintain_broadcast(
-                view, view_name, instances, db_pre, entries, plan
-            )
-        tables = list(tagged_tables(view.caches, view.operator_caches))
+        """The base engine's round; with a live process pool, its writes
+        are captured and replayed on every worker so their view/cache
+        replicas stay current for the next parallel round."""
+        pool = self._live_pool()
+        tables = (
+            list(tagged_tables(view.caches, view.operator_caches)) if pool else []
+        )
         sinks = {tag: table.begin_capture() for tag, table in tables}
         try:
-            report = self._maintain_broadcast(
-                view, view_name, instances, db_pre, entries, plan
-            )
+            base = super()._run_view(view, instances, db_pre, entries)
         finally:
             for _, table in tables:
                 table.end_capture()
         writes = {tag: ops for tag, ops in sinks.items() if ops}
-        if writes:
-            pool.apply_writes(view_name, wire.encode_writeset(writes))
-        return report
-
-    def _maintain_parallel_process(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        entries,
-        plan: RoutePlan,
-    ) -> ShardedMaintenanceReport:
-        """Split instance rows by anchor key; one worker *process* per
-        shard (see :mod:`repro.shard.workers` for the protocol).
-
-        The merge below is deliberately identical to the thread path's:
-        per-shard counter sets (decoded exactly from the wire) sum into
-        the report phase by phase and fold into the database totals, so
-        both backends reconcile against the same single-shard counts.
-        """
-        router = self._router
-        n = self.shards
-        pool = self._ensure_pool(entries)
-        shard_instances = split_instances(plan, instances, n)
-        instance_docs = [wire.encode_instances(shard_instances[i]) for i in range(n)]
-        apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
-        shard_cost = metrics.loghist("shard.cost", unit="accesses")
-
-        results = pool.exec_view(view_name, instance_docs)
-
-        report = ShardedMaintenanceReport(
-            view_name, parallel=True, anchor=plan.anchor, backend="process"
+        if pool is not None and writes:
+            pool.apply_writes(view.name, wire.encode_writeset(writes))
+        return ShardedMaintenanceReport(
+            **vars(base), broadcast_reason=plan.reason, backend=self.backend
         )
-        report.shard_cost_hist = LogHistogram("shard.round_cost", unit="accesses")
-        report.shard_wall_hist = LogHistogram("shard.round_seconds", unit="seconds")
-        merged_sizes: dict[str, int] = {}
-        merged_writes: dict[str, list[tuple]] = {}
-        decoded_writes: list[dict[str, list[tuple]]] = []
-        for i, result in enumerate(results):
-            sc = wire.decode_counters(result["counters"])
-            seconds = result["seconds"]
+
+    def _run_inline(
+        self, view: MaterializedView, shard_instances, db_pre: Database,
+        entries, plan: RoutePlan,
+    ) -> ShardedMaintenanceReport:
+        """Run the shard slices one after another on the coordinator."""
+        modified = {entry.table for entry in entries}
+        # Dynamic race detector: capture each slice's writes to the shared
+        # cache/view tables, and audit every base table (counted writes
+        # landing outside the tagged set would escape a process-backend
+        # write-set merge — dynamic RACE604).
+        race_tables = (
+            list(tagged_tables(view.caches, view.operator_caches))
+            if self.race_check else []
+        )
+        audit_hits: set[str] = set()
+        if self.race_check:
+            for name in self.db.table_names():
+                self.db.table(name).audit_uncaptured(audit_hits.add)
+        runs: list[ShardRun] = []
+        try:
+            for i, shard_diffs in enumerate(shard_instances):
+                counters = CounterSet()
+                ctx = round_context(view, shard_diffs, db_pre, self.db, modified)
+                sinks = {tag: table.begin_capture() for tag, table in race_tables}
+                started = time.perf_counter()
+                try:
+                    with self._router.activate(counters), obs.span(
+                        f"shard:{i}", kind="shard", counters=counters,
+                        shard=i, view=view.name, anchor=plan.anchor,
+                    ):
+                        execute_script(view.script, ctx, counters)
+                finally:
+                    for _, table in race_tables:
+                        table.end_capture()
+                runs.append(ShardRun(
+                    counters,
+                    {k: len(v) for k, v in ctx.diffs.items()},
+                    time.perf_counter() - started,
+                    {tag: ops for tag, ops in sinks.items() if ops},
+                ))
+        finally:
+            if self.race_check:
+                for name in self.db.table_names():
+                    self.db.table(name).audit_uncaptured(None)
+        return self._merge_shards(view, plan, runs, sorted(audit_hits))
+
+    def _run_process(
+        self, view: MaterializedView, shard_instances, entries, plan: RoutePlan
+    ) -> ShardedMaintenanceReport:
+        """One worker *process* per shard (see :mod:`repro.shard.workers`
+        for the protocol)."""
+        pool = self._ensure_pool(entries)
+        docs = [wire.encode_instances(diffs) for diffs in shard_instances]
+        runs: list[ShardRun] = []
+        for i, reply in enumerate(pool.exec_view(view.name, docs)):
+            counters = wire.decode_counters(reply["counters"])
             with obs.span(
                 f"shard:{i}", kind="shard",
-                shard=i, view=view_name, anchor=plan.anchor,
-                worker_seconds=seconds, cost=sc.total.total,
+                shard=i, view=view.name, anchor=plan.anchor,
+                worker_seconds=reply["seconds"], cost=counters.total.total,
             ):
                 pass  # bookkeeping span: the work ran in the worker
-            report.shard_cost_hist.observe(sc.total.total)
-            report.shard_wall_hist.observe(seconds)
-            apply_seconds.observe(seconds)
-            shard_cost.observe(sc.total.total)
-            snapshot = sc.snapshot()
-            shard_report = MaintenanceReport(f"{view_name}@shard{i}")
-            shard_report.phase_counts = snapshot
-            shard_report.diff_sizes = dict(result["diff_sizes"])
-            report.shard_reports.append(shard_report)
-            for phase, counts in snapshot.items():
-                bucket = report.phase_counts.get(phase)
-                if bucket is None:
-                    report.phase_counts[phase] = counts.copy()
-                else:
-                    bucket.add(counts)
-            for k, v in shard_report.diff_sizes.items():
-                merged_sizes[k] = merged_sizes.get(k, 0) + v
-            decoded_writes.append(wire.decode_writeset(result["writes"]))
-            # Keep the database-wide totals truthful, exactly like the
-            # thread backend.
-            ShardRoutingCounters.fold(router.base, sc)
-        if self.race_check:
-            # Check pairwise disjointness of the per-worker write-sets
-            # BEFORE any of them reaches the coordinator's tables: under
-            # "strict" a racy round leaves the authoritative state
-            # untouched.
-            self._handle_race(
-                view_name, report, _writeset_overlaps(decoded_writes), ()
-            )
-        for writes in decoded_writes:
-            for tag, ops in writes.items():
-                merged_writes.setdefault(tag, []).extend(ops)
+            runs.append(ShardRun(
+                counters,
+                dict(reply["diff_sizes"]),
+                reply["seconds"],
+                wire.decode_writeset(reply["writes"]),
+            ))
+        # Raises under race_check="strict" BEFORE any write-set reaches the
+        # coordinator's tables: a racy round leaves the authoritative
+        # state untouched.
+        report = self._merge_shards(view, plan, runs, ())
+        merged: dict[str, list[tuple]] = {}
+        for run in runs:
+            for tag, ops in run.writes.items():
+                merged.setdefault(tag, []).extend(ops)
         # The counted writes happened on the worker replicas; replay them
         # (uncounted — the cost is already in the folded counters) onto
         # the coordinator's authoritative tables, then onto every worker
         # so all replicas converge.  Replay is idempotent, so the merged
         # set going back to its originating shard is safe.
         coordinator_tables = dict(tagged_tables(view.caches, view.operator_caches))
-        for tag, ops in merged_writes.items():
+        for tag, ops in merged.items():
             coordinator_tables[tag].replay_writes(ops)
-        if merged_writes:
-            pool.apply_writes(view_name, wire.encode_writeset(merged_writes))
-        report.diff_sizes = merged_sizes
-        if view.cost_model is not None:
-            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
-            )
+        if merged:
+            pool.apply_writes(view.name, wire.encode_writeset(merged))
         return report
 
-    def _maintain_parallel(
-        self,
-        view: MaterializedView,
-        view_name: str,
-        instances,
-        db_pre: Database,
-        entries,
-        plan: RoutePlan,
+    # ------------------------------------------------------------------
+    def _merge_shards(
+        self, view: MaterializedView, plan: RoutePlan, runs: list[ShardRun],
+        uncaptured,
     ) -> ShardedMaintenanceReport:
-        """Split instance rows by anchor key; one worker per shard."""
-        router = self._router
-        n = self.shards
-        script = view.script_for(self.exec_backend)
-        shard_instances = split_instances(plan, instances, n)
-        shard_counters = [CounterSet() for _ in range(n)]
-        contexts = [
-            self._fresh_context(view, shard_instances[i], db_pre, entries)
-            for i in range(n)
-        ]
+        """Fold the per-shard slices of a parallel round into its report.
 
-        # Pre-create the worker-observed metrics from the coordinator so
-        # shard threads only ever hit the registry's read path.
-        apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
-        shard_cost = metrics.loghist("shard.cost", unit="accesses")
-
-        shard_seconds = [0.0] * n
-
-        def run_shard(i: int) -> None:
-            # Attribute this worker's capture stream (race_check rounds)
-            # to its shard; the set is local to the copied context.
-            _CURRENT_SHARD.set(i)
-            sc = shard_counters[i]
-            started = time.perf_counter()
-            with router.activate(sc):
-                with obs.span(
-                    f"shard:{i}", kind="shard", counters=sc,
-                    shard=i, view=view_name, anchor=plan.anchor,
-                ):
-                    execute_script(script, contexts[i], sc)
-            shard_seconds[i] = time.perf_counter() - started
-            apply_seconds.observe(shard_seconds[i])
-            shard_cost.observe(sc.total.total)
-
-        # Dynamic race detector: arm a shard-routed capture on every
-        # shared cache/view table, and the coverage audit on every base
-        # table (counted writes landing outside the tagged set would
-        # escape a process-backend write-set merge — dynamic RACE604).
-        race_tables: list = []
-        routed_sinks: dict[str, _RoutedSink] = {}
-        audit_hits: set[str] = set()
-        if self.race_check:
-            race_tables = list(tagged_tables(view.caches, view.operator_caches))
-            for tag, table in race_tables:
-                sink = _RoutedSink(n)
-                routed_sinks[tag] = sink
-                table.begin_capture(sink)  # type: ignore[arg-type]
-            for tname in self.db.table_names():
-                self.db.table(tname).audit_uncaptured(audit_hits.add)
-
-        try:
-            workers = min(self.max_workers or n, n)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # copy_context() per submission: each worker's spans parent
-                # under the current view span.
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run_shard, i)
-                    for i in range(n)
-                ]
-                for future in futures:
-                    future.result()
-        finally:
-            for _, table in race_tables:
-                table.end_capture()
-            if self.race_check:
-                for tname in self.db.table_names():
-                    self.db.table(tname).audit_uncaptured(None)
-
+        Per-shard counter sets sum into the report phase by phase and
+        fold into the database totals, so both executors reconcile
+        against the same single-shard counts — and, since the merged diff
+        sizes equal the single-shard ones, against the same prediction.
+        """
         report = ShardedMaintenanceReport(
-            view_name, parallel=True, anchor=plan.anchor, backend="thread"
+            view.name, parallel=True, anchor=plan.anchor, backend=self.backend
         )
         report.shard_cost_hist = LogHistogram("shard.round_cost", unit="accesses")
         report.shard_wall_hist = LogHistogram("shard.round_seconds", unit="seconds")
-        merged_sizes: dict[str, int] = {}
-        for i, sc in enumerate(shard_counters):
-            report.shard_cost_hist.observe(sc.total.total)
-            report.shard_wall_hist.observe(shard_seconds[i])
-            snapshot = sc.snapshot()
-            shard_report = MaintenanceReport(f"{view_name}@shard{i}")
-            shard_report.phase_counts = snapshot
-            shard_report.diff_sizes = {
-                k: len(v) for k, v in contexts[i].diffs.items()
-            }
+        apply_seconds = metrics.loghist("shard.apply_seconds", unit="seconds")
+        shard_cost = metrics.loghist("shard.cost", unit="accesses")
+        for i, run in enumerate(runs):
+            cost = run.counters.total.total
+            report.shard_cost_hist.observe(cost)
+            report.shard_wall_hist.observe(run.seconds)
+            apply_seconds.observe(run.seconds)
+            shard_cost.observe(cost)
+            shard_report = MaintenanceReport(
+                f"{view.name}@shard{i}", run.counters.snapshot(), run.diff_sizes
+            )
             report.shard_reports.append(shard_report)
-            for phase, counts in snapshot.items():
+            for phase, counts in shard_report.phase_counts.items():
                 bucket = report.phase_counts.get(phase)
                 if bucket is None:
                     report.phase_counts[phase] = counts.copy()
                 else:
                     bucket.add(counts)
-            for k, v in shard_report.diff_sizes.items():
-                merged_sizes[k] = merged_sizes.get(k, 0) + v
-            # Keep the database-wide totals truthful: fold each worker's
-            # counts into the base counter set.
-            ShardRoutingCounters.fold(router.base, sc)
-        report.diff_sizes = merged_sizes
+            for k, v in run.diff_sizes.items():
+                report.diff_sizes[k] = report.diff_sizes.get(k, 0) + v
+            # Keep the database-wide totals truthful.
+            ShardRoutingCounters.fold(self._router.base, run.counters)
         if self.race_check:
-            per_shard = [
-                {tag: sink.per_shard[i] for tag, sink in routed_sinks.items()}
-                for i in range(n)
-            ]
             self._handle_race(
-                view_name, report, _writeset_overlaps(per_shard),
-                sorted(audit_hits),
+                view.name, report,
+                _writeset_overlaps([run.writes for run in runs]), uncaptured,
             )
-        # Shard counts sum exactly to the single-shard counts, so the
-        # merged diff sizes reconcile against the same global prediction.
-        if view.cost_model is not None:
-            report.predicted_counts = view.cost_model.predict_from_diff_sizes(
-                report.diff_sizes
-            )
+        report.predicted_counts = view.predict(report.diff_sizes)
         return report
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ..baselines import TupleIvmEngine
 from ..core import IdIvmEngine
+from ..core.engine import InterpEngine
 from ..obs import metrics
 from ..core.idinfer import annotate_plan
 from ..core.modlog import ModificationLog
@@ -33,7 +34,9 @@ from .spec import apply_modification, build_database, build_plan
 STRATEGY_FACTORIES: dict[str, Callable] = {
     "eager": lambda db: IdIvmEngine(db, optimize=False),
     "minimized": lambda db: IdIvmEngine(db, optimize=True),
-    "compiled": lambda db: IdIvmEngine(db, exec_backend="compiled"),
+    # The reference IR interpreter, held to the oracle like the
+    # compiled executor every other idIVM strategy runs.
+    "interp": InterpEngine,
     "tuple": TupleIvmEngine,
     # Sharded strategies run with the dynamic race detector on: any
     # overlapping per-shard write-sets become a "race" divergence (see

@@ -1,4 +1,4 @@
-"""Thread-routing counter fan-out for shard-parallel maintenance.
+"""Counter fan-out for shard-parallel maintenance.
 
 Every :class:`~repro.storage.Table` holds a reference to its database's
 :class:`~repro.storage.CounterSet`, captured at construction.  To give
@@ -6,8 +6,9 @@ each shard worker its own counters *without* rebuilding the table graph
 per round, the sharded engine swaps the database's counter set for a
 :class:`ShardRoutingCounters`: a ``CounterSet`` whose state (total,
 phase buckets, phase stack) is a set of properties delegating to a
-thread-local *target* — the shard's private ``CounterSet`` inside a
-worker, the original base ``CounterSet`` everywhere else.
+thread-local *target* — the shard's private ``CounterSet`` while a
+shard slice runs, the original base ``CounterSet`` everywhere else (and
+on every other thread, such as a telemetry handler reading totals).
 
 Because the delegation happens at the attribute level, every inherited
 ``CounterSet`` method (``count_*``, ``phase``, ``snapshot``, ``reset``)
@@ -20,7 +21,7 @@ each worker process installs its own ``ShardRoutingCounters`` over its
 replica database and activates a fresh per-round ``CounterSet`` while
 executing a ∆-script, and the coordinator :meth:`fold`\\ s the returned
 snapshot into its base counters — so database grand totals agree with
-the thread backend increment for increment.
+the inline backend increment for increment.
 """
 
 from __future__ import annotations

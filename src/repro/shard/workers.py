@@ -1,8 +1,8 @@
 """Long-lived shard worker processes for :class:`ShardedEngine`.
 
-The thread backend in :mod:`repro.core.sharded` proves the paper's
-cost-scaling claim but cannot show *wall-clock* scaling under the GIL:
-its workers interpret Python concurrently on one core.  This module
+The inline backend in :mod:`repro.core.sharded` proves the paper's
+cost-scaling claim but runs its shard slices one after another on the
+coordinator, so it cannot show *wall-clock* scaling.  This module
 supplies the process backend: each shard owns a long-lived worker
 process (spawned once per engine, reused across rounds) holding a full
 **replica** of the database and every view's cache tables.
@@ -12,9 +12,10 @@ columnar, interned, primitive-only; the one-time bootstrap blueprint
 travels as a pickle over the pipe, which is fine for a single message):
 
 1. ``("boot", blueprint)`` — build the replica: base tables, foreign
-   keys, each view's :class:`GeneratedPlan` plus cache/op-cache tables,
-   with :class:`~repro.shard.counters.ShardRoutingCounters` installed so
-   counted accesses route per activation exactly like the thread
+   keys, each view's :class:`GeneratedPlan` (its ∆-script compiled
+   locally) plus cache/op-cache tables, with
+   :class:`~repro.shard.counters.ShardRoutingCounters` installed so
+   counted accesses route per activation exactly like the inline
    backend.
 2. ``("round", log_batch, sync)`` — receive the round's modification
    log.  When *sync* is true the entries are applied (uncounted) to the
@@ -38,7 +39,7 @@ travels as a pickle over the pipe, which is fine for a single message):
 Exactness: the router only parallelizes rounds whose counted reads and
 writes are anchor-local, so during ``exec`` each replica's visible state
 restricted to this shard's rows is identical to the shared database of
-the thread backend — every counted access (including auto-index builds,
+the inline backend — every counted access (including auto-index builds,
 whose creations are captured and replayed so index sets never drift)
 costs the same, and the per-shard counter sets merge exactly to the
 single-shard counts.
@@ -96,20 +97,17 @@ def _restore_table(payload: tuple, counters, auto_index: bool) -> Table:
     return table
 
 
-def build_blueprint(
-    db: Database, views: Mapping[str, Any], exec_backend: str = "interp"
-) -> dict:
+def build_blueprint(db: Database, views: Mapping[str, Any]) -> dict:
     """Snapshot the engine's state for worker bootstrap.
 
     Taken lazily at first parallel round, so it reflects the current
     post-state base tables and the views' current (stale-for-this-round)
     cache contents — exactly what the coordinator itself sees.
 
-    Compiled closures are not picklable, so only ``exec_backend`` ships;
-    each worker recompiles its views' scripts locally at boot.
+    Compiled closures are not picklable, so each view ships its
+    interpretable script and every worker compiles it locally at boot.
     """
     return {
-        "exec_backend": exec_backend,
         "auto_index": db.auto_index,
         "tables": [_table_payload(t) for _, t in sorted(db.tables.items())],
         "foreign_keys": [
@@ -142,19 +140,15 @@ class _WorkerView:
 
     __slots__ = ("generated", "caches", "operator_caches", "script")
 
-    def __init__(self, generated, caches, operator_caches, exec_backend="interp"):
+    def __init__(self, generated, caches, operator_caches):
+        from ..core.compile import compile_script
+
         self.generated = generated
         self.caches = caches
         self.operator_caches = operator_caches
-        #: the ∆-script this worker executes each round — compiled once
-        #: at boot under exec_backend="compiled" (closures cannot cross
-        #: the pipe), the stored interpretable script otherwise.
-        if exec_backend == "compiled":
-            from ..core.compile import compile_script
-
-            self.script = compile_script(generated)
-        else:
-            self.script = generated.script
+        #: the ∆-script this worker executes each round, compiled once at
+        #: boot (closures cannot cross the pipe).
+        self.script = compile_script(generated)
 
     def table_by_tag(self, tag: str) -> Table:
         node_id = int(tag[1:])
@@ -175,7 +169,6 @@ class _WorkerState:
             db.add_foreign_key(child_table, child_columns, parent_table)
         self.router = ShardRoutingCounters.install(db)
         self.db = db
-        exec_backend = blueprint.get("exec_backend", "interp")
         self.views: dict[str, _WorkerView] = {}
         for entry in blueprint["views"]:
             caches = {
@@ -187,7 +180,7 @@ class _WorkerState:
                 for node_id, payload in entry["opcaches"]
             }
             self.views[entry["name"]] = _WorkerView(
-                entry["generated"], caches, opcaches, exec_backend=exec_backend
+                entry["generated"], caches, opcaches
             )
         self.db_pre: Optional[Database] = None
         self.modified_tables: set[str] = set()
@@ -211,7 +204,7 @@ class _WorkerState:
         self.modified_tables = {entry.table for entry in entries}
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:
-        from ..core.ir_exec import IrContext
+        from ..core.engine import round_context
         from ..core.script import execute_script
 
         view = self.views[view_name]
@@ -219,9 +212,9 @@ class _WorkerState:
         # ColumnarDiff batches directly — no dict/tuple re-materialization
         # on the hot path (row views build lazily where a step needs them).
         instances = wire.decode_instances(instances_doc, columnar=True)
-        ctx = IrContext(self.db_pre, self.db, diffs=instances, caches=view.caches)
-        ctx.operator_caches = view.operator_caches
-        ctx.unchanged_tables = set(self.db.table_names()) - self.modified_tables
+        ctx = round_context(
+            view, instances, self.db_pre, self.db, self.modified_tables
+        )
         counters = CounterSet()
         tables = list(tagged_tables(view.caches, view.operator_caches))
         sinks = {tag: table.begin_capture() for tag, table in tables}

@@ -1,12 +1,13 @@
 """Compiled ∆-script execution (:mod:`repro.core.compile`).
 
-The backend's whole contract is *exactness*: a compiled closure must
-produce the same rows AND the same per-phase access counts as the IR
-interpreter — anything the compiler cannot lower with identical counted
-behaviour falls back to the interpreter's own helpers.  These tests pin
-that contract on the paper's devices workload, on every BSMA view, and
-through both sharded execution backends, plus the :class:`ColumnarDiff`
-batch representation the compiled path runs on.
+Compiled execution is the engine's only production path, and its whole
+contract is *exactness*: a compiled closure must produce the same rows
+AND the same per-phase access counts as the IR interpreter — anything
+the compiler cannot lower with identical counted behaviour falls back
+to the interpreter's own helpers.  These tests pin that contract against
+the reference :class:`InterpEngine` on the paper's devices workload, on
+every BSMA view, and through both sharded execution backends, plus the
+:class:`ColumnarDiff` batch representation the compiled path runs on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.core.compile import CompiledComputeDiffStep, compile_script
 from repro.core.diffs import INSERT, ColumnarDiff, Diff, DiffSchema
-from repro.core.engine import EXEC_BACKENDS
+from repro.core.engine import InterpEngine
 from repro.core.script import ComputeDiffStep
 from repro.errors import DiffError
 from repro.workloads import (
@@ -107,29 +108,28 @@ class TestColumnarDiff:
 
 
 # ----------------------------------------------------------------------
-# backend selection + script caching
+# compiled scripts at define time
 # ----------------------------------------------------------------------
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        db = build_devices_database(DEV_CONFIG)
-        with pytest.raises(ValueError):
-            IdIvmEngine(db, exec_backend="jit")
-        assert set(EXEC_BACKENDS) == {"interp", "compiled"}
-
-    def test_define_view_caches_compiled_script(self):
-        db = build_devices_database(DEV_CONFIG)
-        engine = IdIvmEngine(db, exec_backend="compiled")
-        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
-        assert view.compiled_script is not None
-        assert view.script_for("compiled") is view.compiled_script
-        assert view.script_for("interp") is view.generated.script
-
-    def test_interp_engine_skips_compilation(self):
+class TestDefineTimeCompilation:
+    def test_every_defined_view_carries_a_compiled_script(self):
         db = build_devices_database(DEV_CONFIG)
         engine = IdIvmEngine(db)
-        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
-        assert view.compiled_script is None
-        assert view.script_for("compiled") is view.generated.script
+        views = [
+            engine.define_view("V", build_flat_view(db, DEV_CONFIG)),
+            engine.define_view("A", build_aggregate_view(db, DEV_CONFIG)),
+        ]
+        for view in views:
+            assert view.script is not view.generated.script
+            assert len(view.script) == len(view.generated.script)
+            assert any(
+                isinstance(step, CompiledComputeDiffStep)
+                for step in view.script.steps
+            )
+
+    def test_interp_engine_runs_the_stored_script(self):
+        db = build_devices_database(DEV_CONFIG)
+        view = InterpEngine(db).define_view("V", build_flat_view(db, DEV_CONFIG))
+        assert view.script is view.generated.script
 
     def test_compile_script_replaces_only_compute_steps(self):
         db = build_devices_database(DEV_CONFIG)
@@ -154,9 +154,9 @@ class TestBackendSelection:
 # ----------------------------------------------------------------------
 # equivalence: devices
 # ----------------------------------------------------------------------
-def _run_devices(exec_backend, build_view, rounds=3, mixed=False):
+def _run_devices(engine_cls, build_view, rounds=3, mixed=False):
     db = build_devices_database(DEV_CONFIG)
-    engine = IdIvmEngine(db, exec_backend=exec_backend)
+    engine = engine_cls(db)
     view = engine.define_view("V", build_view(db, DEV_CONFIG))
     out = []
     for r in range(rounds):
@@ -178,8 +178,8 @@ def _run_devices(exec_backend, build_view, rounds=3, mixed=False):
     "build_view", [build_flat_view, build_aggregate_view], ids=["flat", "agg"]
 )
 def test_devices_counts_match_interpreter_exactly(build_view, mixed):
-    base = _run_devices("interp", build_view, mixed=mixed)
-    compiled = _run_devices("compiled", build_view, mixed=mixed)
+    base = _run_devices(InterpEngine, build_view, mixed=mixed)
+    compiled = _run_devices(IdIvmEngine, build_view, mixed=mixed)
     for (rows_i, rep_i), (rows_c, rep_c) in zip(base, compiled):
         assert rows_c == rows_i
         assert _phase_totals(rep_c) == _phase_totals(rep_i)
@@ -191,7 +191,7 @@ def test_compiled_report_reconciles_with_cost_model():
     # compiled backend without any compiled-specific calibration.
     from repro.analysis.cost import reconcile_report
 
-    for _rows, report in _run_devices("compiled", build_flat_view):
+    for _rows, report in _run_devices(IdIvmEngine, build_flat_view):
         assert report.predicted_counts is not None
         assert reconcile_report(report) == []
 
@@ -230,8 +230,8 @@ def _run_bsma(engine_factory, rounds=3):
 
 
 def test_bsma_views_counts_match_interpreter_exactly():
-    base = _run_bsma(IdIvmEngine)
-    compiled = _run_bsma(lambda db: IdIvmEngine(db, exec_backend="compiled"))
+    base = _run_bsma(InterpEngine)
+    compiled = _run_bsma(IdIvmEngine)
     assert set(base[0]) == set(BSMA_QUERIES)
     for round_b, round_c in zip(base, compiled):
         for name in round_b:
@@ -244,13 +244,11 @@ def test_bsma_views_counts_match_interpreter_exactly():
 # ----------------------------------------------------------------------
 # equivalence: through both shard backends
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("shard_backend", ["thread", "process"])
+@pytest.mark.parametrize("shard_backend", ["inline", "process"])
 def test_sharded_compiled_matches_interpreter(shard_backend):
-    base = _run_bsma(IdIvmEngine, rounds=2)
+    base = _run_bsma(InterpEngine, rounds=2)
     sharded = _run_bsma(
-        lambda db: ShardedEngine(
-            db, shards=2, backend=shard_backend, exec_backend="compiled"
-        ),
+        lambda db: ShardedEngine(db, shards=2, backend=shard_backend),
         rounds=2,
     )
     for round_b, round_s in zip(base, sharded):

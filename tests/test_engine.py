@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra import evaluate_plan, group_by, scan
 from repro.core import IdIvmEngine
-from repro.errors import ScriptError, UnknownTableError
+from repro.errors import ScriptError
 from repro.expr import col
 from tests.conftest import build_view_v, build_view_v_prime
 
@@ -42,11 +42,6 @@ class TestDefinition:
 
 
 class TestMaintenance:
-    def test_unknown_view(self, running_example_db):
-        engine = IdIvmEngine(running_example_db)
-        with pytest.raises(UnknownTableError):
-            engine.maintain("nope")
-
     def test_empty_log_is_cheap_noop(self, running_example_db, view_v):
         engine = IdIvmEngine(running_example_db)
         view = engine.define_view("V", view_v)
@@ -64,17 +59,6 @@ class TestMaintenance:
         assert set(reports) == {"V", "Vp"}
         assert v.table.as_set() == evaluate_plan(v.plan, running_example_db).as_set()
         assert vp.table.as_set() == evaluate_plan(vp.plan, running_example_db).as_set()
-
-    def test_selective_maintenance_consumes_the_log(self, running_example_db):
-        """maintain(name) drains the log — other views go stale by design
-        (deferred IVM maintains views on demand; this engine applies the
-        whole log to the named view only)."""
-        engine = IdIvmEngine(running_example_db)
-        v = engine.define_view("V", build_view_v(running_example_db))
-        engine.log.update("parts", ("P1",), {"price": 11})
-        reports = engine.maintain("V")
-        assert set(reports) == {"V"}
-        assert ("D1", "P1", 11) in v.table.as_set()
 
     def test_repeated_rounds(self, running_example_db):
         engine = IdIvmEngine(running_example_db)

@@ -44,7 +44,7 @@ DEV_CONFIG = DevicesConfig(n_parts=80, n_devices=80, diff_size=24)
 
 BACKENDS = tuple(
     b.strip()
-    for b in os.environ.get("REPRO_BACKEND", "thread,process").split(",")
+    for b in os.environ.get("REPRO_BACKEND", "inline,process").split(",")
     if b.strip()
 )
 

@@ -6,7 +6,7 @@ access counts that reconcile exactly with the single-shard run —
 whether the router proved the round parallel or fell back to broadcast.
 
 Set ``REPRO_SHARDS=1,4`` (the CI matrix does) to restrict the shard
-counts exercised by the equivalence tests, and ``REPRO_BACKEND=thread``
+counts exercised by the equivalence tests, and ``REPRO_BACKEND=inline``
 (or ``process``) to restrict the execution backends.  The process
 backend spawns real worker processes, so its equivalence coverage runs
 at bounded shard counts (≤ 4) to keep the suite quick.
@@ -25,15 +25,7 @@ import pytest
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
 from repro.shard import ShardRoutingCounters, shard_of
-from repro.storage import (
-    AccessCounts,
-    CounterSet,
-    Database,
-    PartitionedDatabase,
-    PartitionedTable,
-    partition_database,
-)
-from repro.storage.schema import TableSchema
+from repro.storage import CounterSet, Database
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -55,7 +47,7 @@ SHARD_COUNTS = tuple(
 )
 BACKENDS = tuple(
     b.strip()
-    for b in os.environ.get("REPRO_BACKEND", "thread,process").split(",")
+    for b in os.environ.get("REPRO_BACKEND", "inline,process").split(",")
     if b.strip()
 )
 
@@ -70,7 +62,7 @@ RACE_CHECK = (
 
 
 def _backend_shard_params(process_counts=(2, 4)):
-    """(backend, n_shards) matrix: thread everywhere, process bounded."""
+    """(backend, n_shards) matrix: inline everywhere, process bounded."""
     params = []
     for backend in BACKENDS:
         for n in SHARD_COUNTS:
@@ -305,7 +297,7 @@ def test_parallel_round_folds_into_database_totals():
 
 
 # ----------------------------------------------------------------------
-# partitioned storage layer
+# stable shard assignment
 # ----------------------------------------------------------------------
 def test_shard_of_is_stable_and_in_range():
     assert shard_of(("P1",), 1) == 0
@@ -317,56 +309,6 @@ def test_shard_of_is_stable_and_in_range():
     assert shard_of(("P17",), 4) == shard_of(("P17",), 4)
 
 
-def test_partitioned_table_routes_key_ops():
-    table = PartitionedTable(TableSchema("t", ("k", "v"), ("k",)), 4)
-    rows = [(f"K{i}", i) for i in range(40)]
-    table.load(rows)
-    assert len(table) == 40
-    assert table.get(("K7",)) == ("K7", 7)
-    # a key get costs exactly one lookup + one read, on one shard only
-    combined = table.combined_counts()
-    assert combined.index_lookups == 1 and combined.tuple_reads == 1
-    busy = [c.total for c in table.shard_counts()]
-    assert sorted(busy, reverse=True)[1] == 0  # all cost on one shard
-    assert set(table.rows_uncounted()) == set(rows)
-
-
-def test_partitioned_table_broadcast_lookup_pays_per_shard():
-    table = PartitionedTable(TableSchema("t", ("k", "v"), ("k",)), 4)
-    table.load([(f"K{i}", i % 3) for i in range(30)])
-    table.create_index(("v",))
-    table.reset_counters()
-    hits = table.lookup(("v",), (1,))
-    assert {h[1] for h in hits} == {1}
-    # non-key lookup probes every shard's local index
-    assert table.combined_counts().index_lookups == 4
-
-
-def test_partition_database_preserves_contents_and_counts():
-    db = build_devices_database(DEV_CONFIG)
-    part = partition_database(db, 4)
-    assert set(part.table_names()) == set(db.table_names())
-    for name in db.table_names():
-        assert part.table(name).as_set() == db.table(name).as_set()
-    # routed single-key workload: combined counts match an unpartitioned
-    # table doing the same ops
-    flat = db.table("parts")
-    flat.counters.reset()
-    sharded = part.table("parts")
-    for pid, _ in list(flat.rows_uncounted())[:10]:
-        flat.get((pid,))
-        sharded.get((pid,))
-    assert part.combined_counts().total == flat.counters.total.total
-    assert part.critical_path() <= part.combined_counts().total
-
-
-def test_partitioned_database_rejects_bad_shard_count():
-    from repro.errors import SchemaError
-
-    with pytest.raises(SchemaError):
-        PartitionedDatabase(0)
-    with pytest.raises(SchemaError):
-        ShardedEngine(Database(), shards=0)
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +337,10 @@ def test_broadcast_round_has_no_shard_cost_hist():
     assert report.shard_cost_hist is None
 
 
-def test_worker_thread_histograms_merge_to_shard_totals(_scoped_metrics):
-    """``shard.cost`` is observed from worker threads (one per shard);
-    the merged ConcurrentLogHistogram must equal the manual fold of its
-    per-thread shards and reconcile exactly with the round reports."""
+def test_inline_shard_histograms_merge_to_shard_totals(_scoped_metrics):
+    """``shard.cost`` gets one observation per inline shard slice; the
+    merged ConcurrentLogHistogram must equal the manual fold of its
+    per-thread cells and reconcile exactly with the round reports."""
     from repro.obs.hist import LogHistogram
 
     results = _run_devices(
@@ -508,3 +450,12 @@ def test_sharded_engine_rejects_unknown_backend():
 
     with pytest.raises(SchemaError):
         ShardedEngine(Database(), shards=2, backend="fiber")
+    with pytest.raises(SchemaError):
+        ShardedEngine(Database(), shards=2, backend="thread")
+
+
+def test_sharded_engine_rejects_bad_shard_count():
+    from repro.errors import SchemaError
+
+    with pytest.raises(SchemaError):
+        ShardedEngine(Database(), shards=0)
