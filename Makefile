@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-sharded smoke smoke-obs bench perf-gate fuzz lint \
-	lint-catalog lint-static
+	lint-catalog lint-static loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -80,3 +80,11 @@ FUZZ_SEED ?= 0
 FUZZ_CASES ?= 100
 fuzz:
 	$(PYTHON) -m repro crosscheck --seed $(FUZZ_SEED) --cases $(FUZZ_CASES)
+
+# Python line counts of the package and the test suite (physical lines,
+# blank and comment lines included) — the source line delta to report.
+loc:
+	@for dir in src/repro tests; do \
+	    printf '%-10s %s\n' "$$dir" \
+	        "$$(find $$dir -name '*.py' -exec cat {} + | wc -l)"; \
+	done

@@ -79,20 +79,6 @@ class TDelta:
         out += list(self.updates)
         return out
 
-    @classmethod
-    def from_changes(cls, changes: list[tuple]) -> "TDelta":
-        delta = cls()
-        for pre, post in changes:
-            if pre is None and post is None:
-                continue
-            if pre is None:
-                delta.inserts.append(post)
-            elif post is None:
-                delta.deletes.append(pre)
-            elif pre != post:
-                delta.updates.append((pre, post))
-        return delta
-
 
 def repair_updates(delta: TDelta, id_positions: list[int]) -> TDelta:
     """Re-pair delete+insert rows sharing an output key into updates."""

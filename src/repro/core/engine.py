@@ -225,7 +225,9 @@ class IdIvmEngine:
         counters = self.db.counters
         round_started = time.perf_counter()
         metrics.counter("engine.maintain_rounds").inc()
-        metrics.histogram("engine.log_entries").observe(len(entries))
+        metrics.loghist("engine.log_entries", unit="entries").observe(
+            len(entries)
+        )
         with obs.span(
             "maintain",
             kind="engine",
@@ -250,7 +252,9 @@ class IdIvmEngine:
                     report = self._run_view(view, instances, db_pre, entries)
                     reports[view_name] = report
                     vsp.set(**report.span_attrs())
-                metrics.histogram("engine.round_cost").observe(report.total_cost)
+                metrics.loghist("engine.round_cost", unit="accesses").observe(
+                    report.total_cost
+                )
                 metrics.loghist(
                     f"view.round_seconds.{view_name}", unit="seconds"
                 ).observe(time.perf_counter() - view_started)

@@ -238,10 +238,12 @@ def populate_instances(
             idiff_rows=total_rows,
             nonempty_instances=sum(1 for diff in out.values() if diff),
         )
-        metrics.histogram("modlog.idiff_rows_per_round").observe(total_rows)
+        metrics.loghist("modlog.idiff_rows_per_round", unit="rows").observe(
+            total_rows
+        )
         metrics.loghist("modlog.fold_rows", unit="rows").observe(total_rows)
         if entries:
-            metrics.histogram("modlog.fold_ratio").observe(
+            metrics.loghist("modlog.fold_ratio", unit="ratio").observe(
                 total_rows / len(entries)
             )
         return out

@@ -196,7 +196,7 @@ def execute_script(
         # generator context manager) is entered once per phase run, not
         # once per statement — attribution is identical and a 500-step
         # script stops paying ~500 context switches per round.
-        stmt_hist = metrics.histogram("script.stmt_diff_rows")
+        stmt_hist = metrics.loghist("script.stmt_diff_rows", unit="rows")
         observe = stmt_hist.observe
         stack = ExitStack()
         open_phase: Optional[str] = None
@@ -285,9 +285,9 @@ def _execute_script_traced(
                     cardinality = _step_cardinality(step, ctx)
                     if cardinality is not None:
                         sp.set(diff_rows=cardinality)
-                        metrics.histogram("script.stmt_diff_rows").observe(
-                            cardinality
-                        )
+                        metrics.loghist(
+                            "script.stmt_diff_rows", unit="rows"
+                        ).observe(cardinality)
     finally:
         stack.close()
         if open_phase is not None:

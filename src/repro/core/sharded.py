@@ -13,9 +13,8 @@ full ∆-script over its row subset in a private :class:`IrContext`.
 Because the router proved every counted operation anchor-local, the
 workers read and write disjoint rows of the shared caches and view,
 the union of their outputs equals the single-shard result, and their
-access counts — routed into per-shard :class:`CounterSet`\\ s by
-:class:`~repro.shard.ShardRoutingCounters` — sum *exactly* to the
-single-shard counts.
+access counts — each shard's ``phase_delta`` of the database's one
+:class:`CounterSet` — sum *exactly* to the single-shard counts.
 
 That disjointness claim is *checked*, twice, rather than trusted: the
 static interference pass (``repro.analysis.interference``, rules
@@ -35,18 +34,19 @@ hook (sync live worker replicas).  A parallel round has two executors,
 which feed one merge (:meth:`ShardedEngine._merge_shards`):
 
 * ``backend="inline"`` (default) — the shard slices run one after
-  another on the coordinator, each under its own routed
-  :class:`CounterSet` and ``shard:{i}`` span.  Per-shard counts, the
-  critical path and the race check are exactly those of a parallel
-  run; wall-clock time is the sum of the slices.
+  another on the coordinator, each counted as a snapshot delta of the
+  database counters under its own ``shard:{i}`` span.  Per-shard
+  counts, the critical path and the race check are exactly those of a
+  parallel run; wall-clock time is the sum of the slices.
 * ``backend="process"`` — long-lived worker processes, each owning a
   replica of the database and view caches (:mod:`repro.shard.workers`).
   Per-round inputs travel in the compact columnar wire format of
-  :mod:`repro.core.wire`; workers return exact counter snapshots plus
-  replayable write-sets that the coordinator merges back, so counts
-  still reconcile exactly while the ∆-scripts execute on separate
-  cores.  Call :meth:`ShardedEngine.close` (or use the engine as a
-  context manager) to shut the workers down.
+  :mod:`repro.core.wire`; workers return exact counter deltas plus
+  replayable write-sets that the coordinator merges back (the counts
+  into the database counters), so counts still reconcile exactly while
+  the ∆-scripts execute on separate cores.  Call
+  :meth:`ShardedEngine.close` (or use the engine as a context manager)
+  to shut the workers down.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from ..errors import SchemaError, ShardRaceError
 from ..obs import metrics
 from ..obs import spans as obs
 from ..obs.hist import LogHistogram
-from ..shard.counters import ShardRoutingCounters
 from ..shard.router import (
     RoutePlan,
     describe_plan,
@@ -70,7 +69,13 @@ from ..shard.router import (
 from ..shard.workers import ProcessShardPool, build_blueprint, tagged_tables
 from ..storage import CounterSet, Database
 from . import wire
-from .engine import IdIvmEngine, MaintenanceReport, MaterializedView, round_context
+from .engine import (
+    IdIvmEngine,
+    MaintenanceReport,
+    MaterializedView,
+    phase_delta,
+    round_context,
+)
 from .script import execute_script
 
 BACKENDS = ("inline", "process")
@@ -106,9 +111,10 @@ def _writeset_overlaps(
 class ShardRun:
     """One shard's slice of a parallel round, as an executor reports it.
 
-    ``writes`` maps capture tag -> replayable ops; the inline executor
-    fills it only under ``race_check``, the process executor always (the
-    coordinator replays it).
+    ``counters`` holds only this slice's counts (already in the database
+    totals).  ``writes`` maps capture tag -> replayable ops; the inline
+    executor fills it only under ``race_check``, the process executor
+    always (the coordinator replays it).
     """
 
     counters: CounterSet
@@ -202,10 +208,6 @@ class ShardedEngine(IdIvmEngine):
         #: first provably-parallel round pays the spawn + bootstrap cost,
         #: broadcast-only workloads never do.
         self._pool: Optional[ProcessShardPool] = None
-        # Install the routing counter facade BEFORE the base constructor
-        # so every table created from here on (caches, opcaches) counts
-        # through it.
-        self._router = ShardRoutingCounters.install(db)
         super().__init__(db, **kwargs)
 
     # ------------------------------------------------------------------
@@ -345,15 +347,16 @@ class ShardedEngine(IdIvmEngine):
         if self.race_check:
             for name in self.db.table_names():
                 self.db.table(name).audit_uncaptured(audit_hits.add)
+        counters = self.db.counters
         runs: list[ShardRun] = []
         try:
             for i, shard_diffs in enumerate(shard_instances):
-                counters = CounterSet()
                 ctx = round_context(view, shard_diffs, db_pre, self.db, modified)
                 sinks = {tag: table.begin_capture() for tag, table in race_tables}
+                before = counters.snapshot()
                 started = time.perf_counter()
                 try:
-                    with self._router.activate(counters), obs.span(
+                    with obs.span(
                         f"shard:{i}", kind="shard", counters=counters,
                         shard=i, view=view.name, anchor=plan.anchor,
                     ):
@@ -362,7 +365,9 @@ class ShardedEngine(IdIvmEngine):
                     for _, table in race_tables:
                         table.end_capture()
                 runs.append(ShardRun(
-                    counters,
+                    CounterSet.from_phase_counts(
+                        phase_delta(before, counters.snapshot())
+                    ),
                     {k: len(v) for k, v in ctx.diffs.items()},
                     time.perf_counter() - started,
                     {tag: ops for tag, ops in sinks.items() if ops},
@@ -383,6 +388,9 @@ class ShardedEngine(IdIvmEngine):
         runs: list[ShardRun] = []
         for i, reply in enumerate(pool.exec_view(view.name, docs)):
             counters = wire.decode_counters(reply["counters"])
+            # The counted work ran on a replica: keep the database-wide
+            # totals truthful.
+            self.db.counters.merge(counters)
             with obs.span(
                 f"shard:{i}", kind="shard",
                 shard=i, view=view.name, anchor=plan.anchor,
@@ -422,10 +430,10 @@ class ShardedEngine(IdIvmEngine):
     ) -> ShardedMaintenanceReport:
         """Fold the per-shard slices of a parallel round into its report.
 
-        Per-shard counter sets sum into the report phase by phase and
-        fold into the database totals, so both executors reconcile
-        against the same single-shard counts — and, since the merged diff
-        sizes equal the single-shard ones, against the same prediction.
+        Per-shard counter sets sum into the report phase by phase, so
+        both executors reconcile against the same single-shard counts —
+        and, since the merged diff sizes equal the single-shard ones,
+        against the same prediction.
         """
         report = ShardedMaintenanceReport(
             view.name, parallel=True, anchor=plan.anchor, backend=self.backend
@@ -452,8 +460,6 @@ class ShardedEngine(IdIvmEngine):
                     bucket.add(counts)
             for k, v in run.diff_sizes.items():
                 report.diff_sizes[k] = report.diff_sizes.get(k, 0) + v
-            # Keep the database-wide totals truthful.
-            ShardRoutingCounters.fold(self._router.base, run.counters)
         if self.race_check:
             self._handle_race(
                 view.name, report,

@@ -8,8 +8,8 @@ divergence at the round that caused it:
 * **primary-key uniqueness / placement** — every materialized table maps
   each storage key to a row whose key columns equal it;
 * **index consistency** — every secondary-index bucket entry points at a
-  live row with the bucket's value, and every row is findable through
-  every index;
+  live row with the bucket's value, no bucket is empty, and every row is
+  findable through every index;
 * **non-negative counters** — no phase of the round's report went
   backwards;
 * **phase reconciliation** — per-field sums of the phase buckets equal
@@ -25,7 +25,7 @@ from collections import Counter
 
 from ..algebra.evaluate import evaluate_plan
 from ..core.rules.aggregate import OpCacheSpec
-from ..storage import AccessCounts, CounterSet, Table
+from ..storage import CounterSet, Table
 
 _COUNT_FIELDS = ("index_lookups", "tuple_reads", "tuple_writes", "index_maintenance")
 
@@ -43,6 +43,10 @@ def check_table(table: Table, label: str) -> list[str]:
     for columns, index in table._indexes.items():
         seen = 0
         for value, bucket in index.buckets.items():
+            if not bucket:
+                problems.append(
+                    f"{label}: index {columns} bucket {value!r} is empty"
+                )
             for key in bucket:
                 row = table._rows.get(key)
                 if row is None:

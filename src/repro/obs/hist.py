@@ -1,10 +1,10 @@
 """Log-bucketed histograms: percentiles, exact merges, thread sharding.
 
-The plain :class:`repro.obs.metrics.Histogram` keeps a streaming
-count/sum/min/max — enough for a mean, useless for a tail.  Freshness
-and latency telemetry live in the tail (Snowflake Dynamic Tables gates
-on observed-lag *percentiles*, not means), so this module provides the
-real thing:
+A streaming count/sum/min/max is enough for a mean, useless for a tail.
+Freshness and latency telemetry live in the tail (Snowflake Dynamic
+Tables gates on observed-lag *percentiles*, not means), so every
+histogram metric is one of these, which keep count/sum/min/max exactly
+as well:
 
 * :class:`LogHistogram` — sparse log-spaced buckets (4 sub-buckets per
   power of two, ≤ ~12% relative error at any quantile), computed with
@@ -16,7 +16,8 @@ real thing:
   ``observe`` touches only the calling thread's private histogram (no
   lock on the hot path; the only critical section is first-observation
   shard registration), and readers merge the shards on demand.  This is
-  the shape the :class:`~repro.core.sharded.ShardedEngine` workers need.
+  what the process-global metrics registry holds: a ``DemoLoop`` round
+  thread observes while ``serve``/``top`` threads read.
 
 Both expose ``p50/p95/p99/max`` and serialize through ``as_dict`` /
 ``from_dict`` so traces, ``BENCH_*.json`` payloads and the ``/metrics``

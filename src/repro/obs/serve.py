@@ -5,8 +5,7 @@
 exposing:
 
 * ``/metrics``   — Prometheus text exposition (format 0.0.4).  Counters
-  and gauges map directly; streaming histograms become summaries
-  (``_count``/``_sum``); log-bucketed histograms become native
+  and gauges map directly; log-bucketed histograms become native
   Prometheus histograms with cumulative ``le`` buckets taken from the
   exact frexp bucket bounds.  Per-view and per-phase metric families
   are folded into labels (``repro_view_round_seconds{view="Q7"}``)
@@ -34,7 +33,7 @@ from typing import Any, Optional
 
 from . import metrics
 from .hist import LogHistogram
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -127,15 +126,6 @@ def render_prometheus(
             if metric.value is None:
                 continue
             add(family, "gauge", [f"{family}{_labels(labels)} {_fmt(metric.value)}"])
-        elif isinstance(metric, Histogram):
-            add(
-                family,
-                "summary",
-                [
-                    f"{family}_sum{_labels(labels)} {_fmt(metric.total)}",
-                    f"{family}_count{_labels(labels)} {metric.count}",
-                ],
-            )
         else:  # ConcurrentLogHistogram
             add(family, "histogram", _hist_lines(family, labels, metric.merged()))
 

@@ -135,8 +135,10 @@ class SpanRecorder:
         self.roots: list[Span] = []
         self.epoch = time.perf_counter()
         self._next_id = 0
-        # Shard workers open spans concurrently; id allocation and the
-        # span/children lists need a short critical section.
+        # The installed recorder is process-global, so a ``DemoLoop``
+        # round thread may open spans while another thread does; id
+        # allocation and the span/children lists need a short critical
+        # section.
         self._lock = threading.Lock()
 
     @contextmanager

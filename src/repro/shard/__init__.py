@@ -7,14 +7,13 @@ of *i-diff instance rows*.  :func:`plan_route` statically analyses a
 the rows by an *anchor key* keeps every counted operation shard-local
 (``parallel``) or falls back to a single global execution (``broadcast``
 — always correct, never slower).  :func:`split_instances` performs the
-row split; :class:`ShardRoutingCounters` routes each shard slice's
-access counts into its own :class:`~repro.storage.CounterSet` so per-shard
-costs merge back deterministically.
+row split.  Each shard slice's access counts are a snapshot delta of the
+database's one :class:`~repro.storage.CounterSet`, so per-shard costs
+sum back deterministically.
 
 See ``docs/SHARDING.md`` for the locality argument.
 """
 
-from .counters import ShardRoutingCounters
 from .router import (
     ProvenanceTracker,
     RoutePlan,
@@ -29,7 +28,6 @@ __all__ = [
     "ProcessShardPool",
     "ProvenanceTracker",
     "RoutePlan",
-    "ShardRoutingCounters",
     "WorkerError",
     "build_blueprint",
     "force_route",

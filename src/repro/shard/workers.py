@@ -13,10 +13,8 @@ travels as a pickle over the pipe, which is fine for a single message):
 
 1. ``("boot", blueprint)`` — build the replica: base tables, foreign
    keys, each view's :class:`GeneratedPlan` (its ∆-script compiled
-   locally) plus cache/op-cache tables, with
-   :class:`~repro.shard.counters.ShardRoutingCounters` installed so
-   counted accesses route per activation exactly like the inline
-   backend.
+   locally) plus cache/op-cache tables, all counting into the
+   replica's one :class:`~repro.storage.CounterSet`.
 2. ``("round", log_batch, sync)`` — receive the round's modification
    log.  When *sync* is true the entries are applied (uncounted) to the
    replica's base tables first — a worker that was just booted already
@@ -24,10 +22,10 @@ travels as a pickle over the pipe, which is fine for a single message):
    ``sync=False``.  The worker then rebuilds its pre-state database,
    mirroring the coordinator's ``_reconstruct_pre``.
 3. ``("exec", view, instances)`` — run the view's full ∆-script over
-   this shard's i-diff rows in a private ``IrContext``, counting into a
-   fresh :class:`CounterSet` under router activation, with write-set
+   this shard's i-diff rows in a private ``IrContext``, with write-set
    capture armed on the view's tables.  Replies with the exact counter
-   snapshot, the captured write-set, per-instance diff sizes and the
+   delta (a ``phase_delta`` of the replica's counters over the
+   execution), the captured write-set, per-instance diff sizes and the
    wall-clock duration (a ``perf_counter`` *delta* — never a raw
    monotonic reading, which would not be comparable across processes).
 4. ``("apply", view, writeset)`` — replay a (merged) write-set onto the
@@ -54,7 +52,6 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..core import wire
 from ..storage import CounterSet, Database, Table
-from .counters import ShardRoutingCounters
 
 #: Join grace before terminating a worker at close().
 _CLOSE_TIMEOUT = 5.0
@@ -167,7 +164,6 @@ class _WorkerState:
             db.tables[table.schema.name] = table
         for child_table, child_columns, parent_table in blueprint["foreign_keys"]:
             db.add_foreign_key(child_table, child_columns, parent_table)
-        self.router = ShardRoutingCounters.install(db)
         self.db = db
         self.views: dict[str, _WorkerView] = {}
         for entry in blueprint["views"]:
@@ -204,7 +200,7 @@ class _WorkerState:
         self.modified_tables = {entry.table for entry in entries}
 
     def execute(self, view_name: str, instances_doc: Mapping) -> dict:
-        from ..core.engine import round_context
+        from ..core.engine import phase_delta, round_context
         from ..core.script import execute_script
 
         view = self.views[view_name]
@@ -215,19 +211,20 @@ class _WorkerState:
         ctx = round_context(
             view, instances, self.db_pre, self.db, self.modified_tables
         )
-        counters = CounterSet()
+        counters = self.db.counters
         tables = list(tagged_tables(view.caches, view.operator_caches))
         sinks = {tag: table.begin_capture() for tag, table in tables}
+        before = counters.snapshot()
         started = time.perf_counter()
         try:
-            with self.router.activate(counters):
-                execute_script(view.script, ctx, counters)
+            execute_script(view.script, ctx, counters)
         finally:
             for _, table in tables:
                 table.end_capture()
         seconds = time.perf_counter() - started
+        delta = phase_delta(before, counters.snapshot())
         return {
-            "counters": wire.encode_counters(counters),
+            "counters": wire.encode_counters(CounterSet.from_phase_counts(delta)),
             "writes": wire.encode_writeset(
                 {tag: ops for tag, ops in sinks.items() if ops}
             ),

@@ -174,12 +174,15 @@ class CounterSet:
 
     @classmethod
     def from_phase_counts(cls, phases: dict[str, AccessCounts]) -> "CounterSet":
-        """Rebuild a counter set from per-phase counts (the wire-decode
-        path for process shard workers).  The grand total is recomputed
-        as the sum of the phases — exact, because every counted access
-        lands in both its phase bucket and the total."""
+        """Rebuild a counter set from per-phase counts: a wire-decoded
+        shard reply, or a :meth:`snapshot` (delta) whose ``"__total__"``
+        entry is skipped.  The grand total is recomputed as the sum of
+        the phases — exact, because every counted access lands in both
+        its phase bucket and the total."""
         out = cls()
         for name, counts in phases.items():
+            if name == "__total__":
+                continue
             out.phases[name] = counts.copy()
             out.total.add(counts)
         return out
@@ -194,7 +197,3 @@ class CostBreakdown:
     @property
     def total(self) -> int:
         return sum(c.total for c in self.components.values())
-
-    def component_total(self, name: str) -> int:
-        counts = self.components.get(name)
-        return counts.total if counts is not None else 0

@@ -117,9 +117,6 @@ class TableSchema:
     def positions(self, columns: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.position(c) for c in columns)
 
-    def has_column(self, column: str) -> bool:
-        return column in self._positions
-
     def key_of(self, row: tuple) -> tuple:
         """Extract the primary-key values from *row*."""
         return tuple(row[i] for i in self._key_positions)

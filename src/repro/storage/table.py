@@ -17,18 +17,14 @@ Access-count policy (matching the paper's Section 6 / Appendix A model):
   the work is visible and reconcilable; ``*_uncounted`` paths touch no
   counter at all and must stay exactly count-neutral.
 
-Concurrency: tables may be shared by the shard-parallel engine
-(:mod:`repro.core.sharded`).  Structural mutations (row writes, index
-builds) hold a per-table re-entrant lock; bucket lookups hand out copies.
-Point reads stay lock-free — the shard router only parallelizes rounds
-whose reads and writes are disjoint per shard, and full scans only happen
-on tables no shard is writing (base tables, or broadcast rounds).
+Concurrency: one thread owns a table (its engine's thread); nothing here
+takes a lock.  Shard parallelism uses worker processes, each with its
+own replica tables (:mod:`repro.shard.workers`).
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import IntegrityError, SchemaError, ScriptError
 from .counters import CounterSet
@@ -52,17 +48,16 @@ class _SecondaryIndex:
         self.buckets.setdefault(self.value_of(row), set()).add(key)
 
     def remove(self, key: tuple, row: tuple) -> None:
-        # Empty buckets are left in place: deleting the dict entry races
-        # with a concurrent ``setdefault`` in :meth:`add` (the adder can
-        # obtain the doomed set and lose its addition).
-        bucket = self.buckets.get(self.value_of(row))
+        value = self.value_of(row)
+        bucket = self.buckets.get(value)
         if bucket is not None:
             bucket.discard(key)
+            if not bucket:
+                del self.buckets[value]
 
-    def get(self, value: tuple) -> set[tuple]:
-        # A copy, so callers never iterate a set a writer is mutating.
-        bucket = self.buckets.get(value)
-        return set(bucket) if bucket else set()
+    def get(self, value: tuple) -> Collection[tuple]:
+        # The live bucket: callers consume it before any write.
+        return self.buckets.get(value, ())
 
 
 class Table:
@@ -85,10 +80,6 @@ class Table:
         self.auto_index = auto_index
         self._rows: dict[tuple, tuple] = {}
         self._indexes: dict[tuple[str, ...], _SecondaryIndex] = {}
-        # Guards structural mutation (row writes, index builds) when the
-        # table is shared across shard worker threads.  Re-entrant: a
-        # locked read path may trigger an auto-index build.
-        self._lock = threading.RLock()
         # Optional write-set sink (see begin_capture): counted writes and
         # index builds append replayable ops here while active.
         self._capture: list[tuple] | None = None
@@ -113,8 +104,7 @@ class Table:
     def index_columns(self) -> list[tuple[str, ...]]:
         """Column tuples of the secondary indexes (sorted; replication
         snapshots use this so replicas rebuild the same index set)."""
-        with self._lock:
-            return sorted(self._indexes)
+        return sorted(self._indexes)
 
     # ------------------------------------------------------------------
     # index management (uncounted)
@@ -126,15 +116,12 @@ class Table:
             return
         for c in columns:
             self.schema.position(c)  # validates
-        with self._lock:
-            if columns in self._indexes:  # lost the build race
-                return
-            index = _SecondaryIndex(self.schema, columns)
-            for key, row in list(self._rows.items()):
-                index.add(key, row)
-            self._indexes[columns] = index
-            if self._capture is not None:
-                self._capture.append(("x", columns))
+        index = _SecondaryIndex(self.schema, columns)
+        for key, row in self._rows.items():
+            index.add(key, row)
+        self._indexes[columns] = index
+        if self._capture is not None:
+            self._capture.append(("x", columns))
 
     def _index_for(self, columns: tuple[str, ...]) -> _SecondaryIndex | None:
         index = self._indexes.get(columns)
@@ -231,36 +218,34 @@ class Table:
         self.schema.check_row(row)
         key = self.schema.key_of(row)
         self.counters.count_index_lookup()
-        with self._lock:
-            if key in self._rows:
-                raise IntegrityError(
-                    f"duplicate key {key} in relation {self.schema.name!r}"
-                )
-            self._rows[key] = row
-            for index in self._indexes.values():
-                index.add(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("s", key, row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        if key in self._rows:
+            raise IntegrityError(
+                f"duplicate key {key} in relation {self.schema.name!r}"
+            )
+        self._rows[key] = row
+        for index in self._indexes.values():
+            index.add(key, row)
+        self.counters.count_index_maintenance(len(self._indexes))
+        if self._capture is not None:
+            self._capture.append(("s", key, row))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
 
     def delete_key(self, key: tuple) -> tuple | None:
         """Delete the row with primary key *key*; returns it (or None)."""
         key = tuple(key)
         self.counters.count_index_lookup()
-        with self._lock:
-            row = self._rows.pop(key, None)
-            if row is None:
-                return None
-            for index in self._indexes.values():
-                index.remove(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("d", key))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        row = self._rows.pop(key, None)
+        if row is None:
+            return None
+        for index in self._indexes.values():
+            index.remove(key, row)
+        self.counters.count_index_maintenance(len(self._indexes))
+        if self._capture is not None:
+            self._capture.append(("d", key))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
         return row
 
@@ -272,28 +257,27 @@ class Table:
         """
         key = tuple(key)
         self.counters.count_index_lookup()
-        with self._lock:
-            old = self._rows.get(key)
-            if old is None:
-                return None
-            for column in changes:
-                if column in self.schema.key:
-                    raise SchemaError(
-                        f"key column {column!r} of {self.schema.name!r} is immutable"
-                    )
-            new = list(old)
-            for column, value in changes.items():
-                new[self.schema.position(column)] = value
-            new_row = tuple(new)
-            for index in self._indexes.values():
-                index.remove(key, old)
-                index.add(key, new_row)
-            self.counters.count_index_maintenance(2 * len(self._indexes))
-            self._rows[key] = new_row
-            if self._capture is not None:
-                self._capture.append(("s", key, new_row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        old = self._rows.get(key)
+        if old is None:
+            return None
+        for column in changes:
+            if column in self.schema.key:
+                raise SchemaError(
+                    f"key column {column!r} of {self.schema.name!r} is immutable"
+                )
+        new = list(old)
+        for column, value in changes.items():
+            new[self.schema.position(column)] = value
+        new_row = tuple(new)
+        for index in self._indexes.values():
+            index.remove(key, old)
+            index.add(key, new_row)
+        self.counters.count_index_maintenance(2 * len(self._indexes))
+        self._rows[key] = new_row
+        if self._capture is not None:
+            self._capture.append(("s", key, new_row))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
         return old
 
@@ -304,19 +288,18 @@ class Table:
         if self.schema.key_of(new_row) != key:
             raise SchemaError("replace_row must preserve the primary key")
         self.counters.count_index_lookup()
-        with self._lock:
-            old = self._rows.get(key)
-            if old is None:
-                return None
-            for index in self._indexes.values():
-                index.remove(key, old)
-                index.add(key, new_row)
-            self.counters.count_index_maintenance(2 * len(self._indexes))
-            self._rows[key] = new_row
-            if self._capture is not None:
-                self._capture.append(("s", key, new_row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        old = self._rows.get(key)
+        if old is None:
+            return None
+        for index in self._indexes.values():
+            index.remove(key, old)
+            index.add(key, new_row)
+        self.counters.count_index_maintenance(2 * len(self._indexes))
+        self._rows[key] = new_row
+        if self._capture is not None:
+            self._capture.append(("s", key, new_row))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
         return old
 
@@ -357,41 +340,39 @@ class Table:
         read-modify-write as a single access).  Returns the pre-state row.
         """
         key = tuple(key)
-        with self._lock:
-            old = self._rows[key]
-            new = list(old)
-            for column, value in changes.items():
-                position = self.schema.position(column)
-                if column in self.schema.key:
-                    raise SchemaError(
-                        f"key column {column!r} of {self.schema.name!r} is immutable"
-                    )
-                new[position] = value
-            new_row = tuple(new)
-            for index in self._indexes.values():
-                index.remove(key, old)
-                index.add(key, new_row)
-            self.counters.count_index_maintenance(2 * len(self._indexes))
-            self._rows[key] = new_row
-            if self._capture is not None:
-                self._capture.append(("s", key, new_row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        old = self._rows[key]
+        new = list(old)
+        for column, value in changes.items():
+            position = self.schema.position(column)
+            if column in self.schema.key:
+                raise SchemaError(
+                    f"key column {column!r} of {self.schema.name!r} is immutable"
+                )
+            new[position] = value
+        new_row = tuple(new)
+        for index in self._indexes.values():
+            index.remove(key, old)
+            index.add(key, new_row)
+        self.counters.count_index_maintenance(2 * len(self._indexes))
+        self._rows[key] = new_row
+        if self._capture is not None:
+            self._capture.append(("s", key, new_row))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
         return old
 
     def delete_at(self, key: tuple) -> tuple:
         """Delete the already-located row at *key* (one tuple write)."""
         key = tuple(key)
-        with self._lock:
-            row = self._rows.pop(key)
-            for index in self._indexes.values():
-                index.remove(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("d", key))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        row = self._rows.pop(key)
+        for index in self._indexes.values():
+            index.remove(key, row)
+        self.counters.count_index_maintenance(len(self._indexes))
+        if self._capture is not None:
+            self._capture.append(("d", key))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
         return row
 
@@ -407,23 +388,22 @@ class Table:
         self.schema.check_row(row)
         key = self.schema.key_of(row)
         self.counters.count_index_lookup()
-        with self._lock:
-            existing = self._rows.get(key)
-            if existing is not None:
-                if existing == row:
-                    return False
-                raise IntegrityError(
-                    f"insert of {row} conflicts with existing {existing} "
-                    f"in {self.schema.name!r}"
-                )
-            self._rows[key] = row
-            for index in self._indexes.values():
-                index.add(key, row)
-            self.counters.count_index_maintenance(len(self._indexes))
-            if self._capture is not None:
-                self._capture.append(("s", key, row))
-            elif self._uncaptured_audit is not None:
-                self._uncaptured_audit(self.schema.name)
+        existing = self._rows.get(key)
+        if existing is not None:
+            if existing == row:
+                return False
+            raise IntegrityError(
+                f"insert of {row} conflicts with existing {existing} "
+                f"in {self.schema.name!r}"
+            )
+        self._rows[key] = row
+        for index in self._indexes.values():
+            index.add(key, row)
+        self.counters.count_index_maintenance(len(self._indexes))
+        if self._capture is not None:
+            self._capture.append(("s", key, row))
+        elif self._uncaptured_audit is not None:
+            self._uncaptured_audit(self.schema.name)
         self.counters.count_tuple_write()
         return True
 
@@ -443,21 +423,19 @@ class Table:
         active raises :class:`~repro.errors.ScriptError` — the inner
         caller would silently steal the outer caller's write-set.
         """
-        with self._lock:
-            if self._capture is not None:
-                raise ScriptError(
-                    f"nested begin_capture on table {self.schema.name!r}: "
-                    f"a capture is already active"
-                )
-            sink = sink if sink is not None else []
-            self._capture = sink
-            return sink
+        if self._capture is not None:
+            raise ScriptError(
+                f"nested begin_capture on table {self.schema.name!r}: "
+                f"a capture is already active"
+            )
+        sink = sink if sink is not None else []
+        self._capture = sink
+        return sink
 
     def end_capture(self) -> list[tuple]:
         """Stop recording and return the captured op list."""
-        with self._lock:
-            sink, self._capture = self._capture, None
-            return sink if sink is not None else []
+        sink, self._capture = self._capture, None
+        return sink if sink is not None else []
 
     def audit_uncaptured(self, hook: Callable[[str], None] | None) -> None:
         """Install (or clear, with None) the capture-coverage audit.
@@ -468,8 +446,7 @@ class Table:
         round: any hit is a writer whose effects would escape the
         process backend's write-set merge (the dynamic face of RACE604).
         """
-        with self._lock:
-            self._uncaptured_audit = hook
+        self._uncaptured_audit = hook
 
     def replay_writes(self, ops: Sequence[tuple]) -> None:
         """Apply a captured write-set, uncounted and idempotently.
@@ -480,24 +457,23 @@ class Table:
         no-ops, index builds are idempotent — so replaying a merged
         round write-set on the worker that produced part of it is safe.
         """
-        with self._lock:
-            for op in ops:
-                if op[0] == "s":
-                    key, row = op[1], op[2]
-                    old = self._rows.get(key)
-                    if old == row:
-                        continue
-                    for index in self._indexes.values():
-                        if old is not None:
-                            index.remove(key, old)
-                        index.add(key, row)
-                    self._rows[key] = row
-                elif op[0] == "d":
-                    self.delete_uncounted(op[1])
-                elif op[0] == "x":
-                    self.create_index(op[1])
-                else:  # pragma: no cover - encoder validates opcodes
-                    raise SchemaError(f"unknown write op {op[0]!r}")
+        for op in ops:
+            if op[0] == "s":
+                key, row = op[1], op[2]
+                old = self._rows.get(key)
+                if old == row:
+                    continue
+                for index in self._indexes.values():
+                    if old is not None:
+                        index.remove(key, old)
+                    index.add(key, row)
+                self._rows[key] = row
+            elif op[0] == "d":
+                self.delete_uncounted(op[1])
+            elif op[0] == "x":
+                self.create_index(op[1])
+            else:  # pragma: no cover - encoder validates opcodes
+                raise SchemaError(f"unknown write op {op[0]!r}")
 
     # ------------------------------------------------------------------
     # uncounted helpers (setup, oracles, copying)

@@ -160,7 +160,7 @@ class TestMetrics:
         reg.counter("c").inc(4)
         reg.gauge("g").set(2.5)
         for v in (1, 2, 3):
-            reg.histogram("h").observe(v)
+            reg.loghist("h", unit="rows").observe(v)
         out = reg.as_dict()
         assert out["c"]["value"] == 5
         assert out["g"]["value"] == 2.5
@@ -191,7 +191,7 @@ class TestMetricsConcurrency:
         # (folded on read, like ConcurrentLogHistogram) must be exact.
         reg = MetricsRegistry()
         counter = reg.counter("hammer.count")
-        hist = reg.histogram("hammer.hist")
+        hist = reg.loghist("hammer.hist")
         n_threads, per_thread = 8, 5000
 
         def work():
@@ -206,9 +206,10 @@ class TestMetricsConcurrency:
             t.join()
         expected = n_threads * per_thread
         assert counter.value == expected
-        assert hist.count == expected
-        assert hist.total == expected * 2.0
-        assert hist.min == hist.max == 2.0
+        merged = hist.merged()
+        assert merged.count == expected
+        assert merged.total == expected * 2.0
+        assert merged.min == merged.max == 2.0
 
     def test_counter_folds_cells_of_dead_threads(self):
         reg = MetricsRegistry()
@@ -235,7 +236,7 @@ class TestMetricsConcurrency:
             while not stop.is_set():
                 try:
                     metrics.counter("race.outer").inc()
-                    metrics.histogram("race.hist").observe(1.0)
+                    metrics.loghist("race.hist").observe(1.0)
                 except BaseException as exc:  # pragma: no cover - failure path
                     errors.append(exc)
                     return

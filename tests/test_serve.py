@@ -24,7 +24,7 @@ class TestRenderPrometheus:
         reg = metrics.MetricsRegistry()
         reg.counter("engine.maintain_rounds").inc(3)
         reg.gauge("some.gauge").set(1.5)
-        reg.histogram("engine.log_entries").observe(10)
+        reg.loghist("engine.log_entries", unit="entries").observe(10)
         hist = reg.loghist("engine.round_seconds", unit="seconds")
         for v in (0.01, 0.02, 0.4):
             hist.observe(v)
@@ -32,7 +32,8 @@ class TestRenderPrometheus:
         assert "# TYPE repro_engine_maintain_rounds counter" in text
         assert "repro_engine_maintain_rounds 3" in text
         assert "repro_some_gauge 1.5" in text
-        assert "# TYPE repro_engine_log_entries summary" in text
+        assert "# TYPE repro_engine_log_entries histogram" in text
+        assert "repro_engine_log_entries_count 1" in text
         assert "# TYPE repro_engine_round_seconds histogram" in text
         assert "repro_engine_round_seconds_count 3" in text
         assert 'le="+Inf"' in text

@@ -1,4 +1,4 @@
-"""Shard-parallel maintenance: routing, equivalence, counter fan-out.
+"""Shard-parallel maintenance: routing, equivalence, counter merging.
 
 The equivalence tests are the heart: for every shard count the sharded
 engine must produce byte-identical view contents AND merged per-phase
@@ -24,8 +24,8 @@ import pytest
 
 from repro.algebra.evaluate import evaluate_plan
 from repro.core import IdIvmEngine, ShardedEngine
-from repro.shard import ShardRoutingCounters, shard_of
-from repro.storage import CounterSet, Database
+from repro.shard import shard_of
+from repro.storage import Database
 from repro.workloads import (
     BSMA_QUERIES,
     BsmaConfig,
@@ -225,75 +225,68 @@ def test_bsma_equivalence(qname, backend, n_shards):
 
 
 # ----------------------------------------------------------------------
-# ShardRoutingCounters
-# ----------------------------------------------------------------------
-def test_routing_counters_delegate_and_activate():
-    base = CounterSet()
-    router = ShardRoutingCounters(base)
-    router.count_tuple_read(3)
-    assert base.total.tuple_reads == 3
-    shard = CounterSet()
-    with router.activate(shard):
-        with router.phase("view_update"):
-            router.count_tuple_write(2)
-    assert shard.total.tuple_writes == 2
-    assert shard.phases["view_update"].tuple_writes == 2
-    assert base.total.tuple_writes == 0
-    # outside the block, counts go to base again
-    router.count_index_lookup()
-    assert base.total.index_lookups == 1
-
-
-def test_routing_counters_install_is_idempotent():
-    db = Database()
-    db.create_table("t", ("a", "b"), ("a",))
-    router = ShardRoutingCounters.install(db)
-    assert ShardRoutingCounters.install(db) is router
-    assert db.counters is router
-    assert db.table("t").counters is router
-    db.table("t").insert((1, 2))
-    assert router.base.total.tuple_writes == 1
-
-
-def test_routing_counters_fold():
-    base, shard = CounterSet(), CounterSet()
-    with base.phase("p"):
-        base.count_tuple_read()
-    with shard.phase("p"):
-        shard.count_tuple_read(4)
-    with shard.phase("q"):
-        shard.count_tuple_write()
-    ShardRoutingCounters.fold(base, shard)
-    assert base.phases["p"].tuple_reads == 5
-    assert base.phases["q"].tuple_writes == 1
-    assert base.total.total == 6
-
-
-def test_routing_counters_reset_routes_to_target():
-    base = CounterSet()
-    router = ShardRoutingCounters(base)
-    router.count_tuple_read()
-    shard = CounterSet()
-    shard.count_tuple_write()
-    with router.activate(shard):
-        router.reset()
-    assert shard.total.total == 0
-    assert base.total.tuple_reads == 1  # base untouched
-
-
-# ----------------------------------------------------------------------
 # sharded engine counters stay truthful
 # ----------------------------------------------------------------------
-def test_parallel_round_folds_into_database_totals():
+def _database_counts_after_round(engine_factory):
+    """The database's per-phase counts after one devices round, checking
+    that the engine counted into the database's own CounterSet."""
     db = build_devices_database(DEV_CONFIG)
-    engine = ShardedEngine(db, shards=4)
-    engine.define_view("V", build_flat_view(db, DEV_CONFIG))
-    apply_price_updates(engine, db, DEV_CONFIG)
-    before = engine._router.base.total.total
-    report = engine.maintain()["V"]
-    assert report.parallel
-    after = engine._router.base.total.total
-    assert after - before >= report.total_cost  # script work folded back
+    original = db.counters
+    engine = engine_factory(db)
+    try:
+        view = engine.define_view("V", build_flat_view(db, DEV_CONFIG))
+        apply_price_updates(engine, db, DEV_CONFIG)
+        report = engine.maintain()["V"]
+    finally:
+        close = getattr(engine, "close", None)
+        if close is not None:
+            close()
+    assert db.counters is original
+    tables = [*db.tables.values(), *view.caches.values()]
+    assert all(table.counters is original for table in tables)
+    counts = {
+        name: c.as_dict()
+        for name, c in original.phases.items()
+        if c.total or c.index_maintenance
+    }
+    return report, counts
+
+
+def _assert_round_folds_into_database_totals(backend):
+    _, single = _database_counts_after_round(IdIvmEngine)
+    report, sharded = _database_counts_after_round(
+        _sharded_factory(4, backend)
+    )
+    assert report.parallel and report.backend == backend
+    assert sharded == single
+
+
+def test_parallel_round_folds_into_database_totals():
+    _assert_round_folds_into_database_totals("inline")
+
+
+def test_engine_packages_do_not_import_threading():
+    """Only telemetry (``repro.obs``) runs threads: an engine's tables
+    and counters have one owning thread and take no locks."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for package in ("core", "storage", "shard"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "threading" for m in modules):
+                    offenders.append(str(path.relative_to(root)))
+    assert offenders == []
 
 
 # ----------------------------------------------------------------------
@@ -434,15 +427,7 @@ def test_process_backend_define_view_invalidates_pool():
 
 @pytestmark_process
 def test_process_backend_folds_into_database_totals():
-    db = build_devices_database(DEV_CONFIG)
-    with ShardedEngine(db, shards=4, backend="process") as engine:
-        engine.define_view("V", build_flat_view(db, DEV_CONFIG))
-        apply_price_updates(engine, db, DEV_CONFIG)
-        before = engine._router.base.total.total
-        report = engine.maintain()["V"]
-        assert report.parallel
-        after = engine._router.base.total.total
-        assert after - before >= report.total_cost
+    _assert_round_folds_into_database_totals("process")
 
 
 def test_sharded_engine_rejects_unknown_backend():

@@ -121,6 +121,31 @@ class TestSecondaryIndexes:
         assert table.lookup(("cat",), ("phone",)) == []
         assert table.lookup(("cat",), ("tablet",)) == [("P1", "tablet")]
 
+    def test_emptied_buckets_are_deleted(self):
+        from repro.crosscheck import check_table
+
+        n = 50
+        table = Table(TableSchema("parts", ("pid", "cat"), ("pid",)))
+        table.create_index(("cat",))
+        for i in range(n):
+            table.insert((f"P{i}", f"cat{i}"))
+        table.update_key(("P0",), {"cat": "moved"})
+        assert len(table._indexes[("cat",)].buckets) == n
+        for i in range(n):
+            table.delete_key((f"P{i}",))
+        assert table._indexes[("cat",)].buckets == {}
+        assert check_table(table, "parts") == []
+
+    def test_check_table_flags_an_empty_bucket(self):
+        from repro.crosscheck import check_table
+
+        table = Table(TableSchema("parts", ("pid", "cat"), ("pid",)))
+        table.create_index(("cat",))
+        table._indexes[("cat",)].buckets[("stale",)] = set()
+        assert check_table(table, "parts") == [
+            "parts: index ('cat',) bucket ('stale',) is empty"
+        ]
+
 
 class TestCounters:
     def test_pk_lookup_costs(self, parts):
